@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ def run_cli(capsys, monkeypatch, argv, payload=None):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.json"))
 
 
 def lattice_doc(lat, **extra):
@@ -258,3 +262,16 @@ def test_meta_wrapper(capsys, monkeypatch):
     assert set(data) == {"data", "meta"}
     assert data["meta"]["tool"] == "k3lattice"
     assert data["data"]["count"] == "2"
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=[p.stem for p in GOLDEN])
+def test_golden_corpus(capsys, monkeypatch, path):
+    # Each case holds argv, stdin text, and the exit code, stdout and stderr
+    # recorded from main() before the arithmetic helpers were merged; the
+    # output must stay byte-identical.
+    case = json.loads(path.read_text())
+    code, out, err = run_cli(capsys, monkeypatch, case["argv"],
+                             case["stdin"])
+    assert code == case["exit"]
+    assert out == case["stdout"]
+    assert err == case["stderr"]
