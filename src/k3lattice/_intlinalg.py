@@ -5,6 +5,7 @@ no floating point is used anywhere.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def identity(n):
@@ -33,12 +34,20 @@ def vec_mat_vec(x, a, y):
     return total
 
 
+def congruence(g, a):
+    """g^T a g."""
+    return mat_mul(transpose(g), mat_mul(a, g))
+
+
 def det(a):
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Determinant of a square integer or rational matrix: one common
+    denominator is cleared, then fraction-free Bareiss elimination.  Integer
+    input gives an int."""
     n = len(a)
     if n == 0:
         return 1
-    m = [list(row) for row in a]
+    den = lcm(*(x.denominator for row in a for x in row))
+    m = [[int(x * den) for x in row] for row in a]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -54,7 +63,8 @@ def det(a):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    out = sign * m[n - 1][n - 1]
+    return out if den == 1 else Fraction(out, den ** n)
 
 
 def smith_normal_form(a):

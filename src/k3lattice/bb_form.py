@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 
+from . import _intlinalg as la
 from .errors import DomainError, InconsistencyError
 
 
@@ -26,12 +27,6 @@ def perfect_matchings(n):
     if n < 0:
         raise DomainError("n must be >= 0")
     return factorial(2 * n) // (2 ** n * factorial(n))
-
-
-def _pair_value(gram, x, y):
-    return sum(Fraction(xi) * sum(Fraction(g) * Fraction(yj)
-                                  for g, yj in zip(row, y))
-               for xi, row in zip(x, gram))
 
 
 def _matchings(indices):
@@ -57,7 +52,7 @@ def symmetrized_power(gram, n, args):
     pair = [[None] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            pair[i][j] = pair[j][i] = _pair_value(gram, args[i], args[j])
+            pair[i][j] = pair[j][i] = la.vec_mat_vec(args[i], gram, args[j])
     total = Fraction(0)
     for matching in _matchings(tuple(range(k))):
         term = Fraction(1)
@@ -135,7 +130,6 @@ def recover_form(w, n, xi, xi_norm, basis, check="basic"):
     q = [[Fraction(x) for x in row] for row in q]
 
     if check != "none":
-        from . import _intlinalg as la
         cols = [[basis[j][t] for j in range(r)] for t in range(r)]
         try:
             inv = la.rational_inverse(cols)

@@ -11,12 +11,12 @@ data object.
 import argparse
 import datetime
 import json
-import os
 import sys
 import warnings
 from fractions import Fraction
 
 from . import __version__
+from . import _intlinalg as la
 from .bb_form import degree_to_bb, recover_form, symmetrized_power
 from .disc_form import disc_local_part, discriminant_group
 from .enumeration import vectors_of_norm
@@ -28,8 +28,9 @@ from .local_arith import (artin_invariant, jordan_decomposition,
 from .moduli_arith import (MukaiVector, is_supersingular_newton,
                            mukai_lattice, mukai_pairing,
                            mukai_perp_disc_check, newton_polygon)
-from .prime_density import (empirical_density, fermat_cubic_supersingular,
-                            is_inert, is_prime, union_inert_density)
+from .prime_density import (empirical_density, factorize,
+                            fermat_cubic_supersingular, is_inert, is_prime,
+                            union_inert_density)
 
 
 def _int(x):
@@ -108,29 +109,37 @@ def _form_to_json(form):
     }
 
 
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def cmd_disc(args):
     lat = _load_doc(_read_payload())
     form = discriminant_group(lat)
     local = {str(ell): _form_to_json(disc_local_part(form, ell))
-             for ell in _prime_factors(form.order)}
+             for ell, _ in factorize(form.order)}
     out = _form_to_json(form)
     out["order"] = _s(form.order)
     out["local_parts"] = local
     return out
+
+
+def _load_w_values(obj, n, r):
+    """Samples of w keyed by sorted basis-index multisets; a key may list
+    its 2n indices in any order."""
+    values = {}
+    for key, val in obj.items():
+        combo = tuple(sorted(int(t) for t in key.split(",")))
+        if len(combo) != 2 * n:
+            raise InvalidGramError(
+                f"w_basis_values key {key!r} has {len(combo)} indices, "
+                f"expected {2 * n}")
+        if not all(0 <= i < r for i in combo):
+            raise InvalidGramError(
+                f"w_basis_values key {key!r} has an index outside "
+                f"0..{r - 1}")
+        value = _frac(val)
+        if values.setdefault(combo, value) != value:
+            raise InvalidGramError(
+                f"w_basis_values key {key!r} gives {val!r} for {combo}, "
+                f"which another key sets to {values[combo]}")
+    return values
 
 
 def cmd_bb_recover(args):
@@ -149,15 +158,13 @@ def cmd_bb_recover(args):
         q = [[_frac(x) for x in row] for row in payload["q"]]
         if len(q) != len(xi) or any(len(r) != len(q) for r in q):
             raise InvalidGramError("q must be square and match xi")
-        xi_norm = sum(xi[i] * q[i][j] * xi[j]
-                      for i in range(len(q)) for j in range(len(q)))
+        xi_norm = la.vec_mat_vec(xi, q, xi)
 
         def w(vecs):
             return symmetrized_power(q, n, vecs)
     elif "w_basis_values" in payload:
-        values = {tuple(int(t) for t in key.split(",")): _frac(val)
-                  for key, val in payload["w_basis_values"].items()}
         r = len(xi)
+        values = _load_w_values(payload["w_basis_values"], n, r)
         xi_norm = _frac(payload["xi_norm"])
 
         def w(vecs):
@@ -342,16 +349,6 @@ def cmd_pointed(args):
     return out
 
 
-def _thread_cap():
-    raw = os.environ.get("K3LATTICE_THREADS")
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="k3lattice",
@@ -390,7 +387,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    _thread_cap()  # accepted for compatibility; computations are sequential
     try:
         data = args.func(args)
     except InconsistencyError as e:

@@ -14,7 +14,7 @@ from math import gcd, lcm
 
 from . import _intlinalg as la
 from .errors import CapacityError, DomainError, StructureError
-from .lattice_core import QuadLattice, is_even
+from .lattice_core import QuadLattice, is_even, is_isometry
 
 
 @dataclass(frozen=True)
@@ -246,11 +246,8 @@ def acts_trivially_on_disc(lat, g, m):
     """True iff the isometry g induces the identity on the discriminant
     group.  ``m`` must satisfy m * L^v <= L (it kills the discriminant);
     this is the modulus for which congruence implies triviality."""
-    n = lat.rank
     g = [list(map(int, row)) for row in g]
-    gt = la.transpose(g)
-    if la.mat_mul(gt, la.mat_mul([list(r) for r in lat.gram], g)) != \
-            [list(r) for r in lat.gram]:
+    if not is_isometry(lat, g):
         raise StructureError("g is not an isometry of the lattice")
     m = int(m)
     if m < 1:

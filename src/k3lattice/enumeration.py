@@ -153,22 +153,17 @@ def is_isometric_definite(l1, l2, max_rank=8):
     if not place(0):
         return None
     g = tuple(tuple(images[j][i] for j in range(n)) for i in range(n))
-    gt = la.transpose([list(r) for r in g])
-    assert la.mat_mul(gt, la.mat_mul([list(r) for r in l2.gram],
-                                     [list(r) for r in g])) == \
-        [list(r) for r in g1]
+    assert la.congruence(g, l2.gram) == [list(r) for r in g1]
     return g
 
 
-def find_vector_norm_prime_to_p(lat, p, search_bound=10):
+def find_vector_norm_prime_to_p(lat, p):
     """A lattice vector w with p not dividing <w, w>, or None.
 
     Basis vectors and pairwise sums decide existence exactly: if every
     Gram entry vanishes mod p (p odd), or every diagonal entry is even
     (p = 2), then every norm is divisible by p and None is definitive.
     """
-    if search_bound < 1:
-        raise DomainError("search bound must be >= 1")
     n = lat.rank
     g = lat.gram
     for i in range(n):

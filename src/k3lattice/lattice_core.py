@@ -174,10 +174,12 @@ def orthogonal_complement(lat, v):
     kernel = la.integer_kernel(constraint)
     b = kernel  # rows
     g = [[la.vec_mat_vec(bi, lat.gram, bj) for bj in b] for bi in b]
-    if la.det(g) == 0:
+    try:
+        comp = QuadLattice(g)
+    except DegenerateLatticeError:
         raise DegenerateLatticeError(
-            "induced form on the complement is degenerate")
-    return QuadLattice(g), tuple(tuple(row) for row in b)
+            "induced form on the complement is degenerate") from None
+    return comp, tuple(tuple(row) for row in b)
 
 
 def signature(lat):
@@ -197,9 +199,7 @@ def is_isometry(lat, g):
     m = [list(map(int, row)) for row in g]
     if len(m) != lat.rank or any(len(r) != lat.rank for r in m):
         return False
-    gt = la.transpose(m)
-    return la.mat_mul(gt, la.mat_mul(list(map(list, lat.gram)), m)) == \
-        [list(row) for row in lat.gram]
+    return la.congruence(m, lat.gram) == [list(row) for row in lat.gram]
 
 
 def hyperbolic_summand_count(lat):

@@ -16,11 +16,11 @@ from .errors import DomainError, StructureError, UnverifiedHypothesisWarning
 from .lattice_core import (as_vector, hyperbolic_summand_count, inner_product,
                            is_even, is_primitive, orthogonal_complement,
                            signature)
+from .prime_density import factorize, is_prime, kronecker_symbol
 
 
 def _val(x, p):
     """p-adic valuation of a nonzero int or Fraction."""
-    x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of zero")
     v = 0
@@ -36,19 +36,12 @@ def _val(x, p):
 
 def _unit_mod_p(x, p):
     """The mod-p residue of x / p^v(x) for a p-integral-unit-part rational."""
-    x = Fraction(x)
     num, den = x.numerator, x.denominator
     while num % p == 0:
         num //= p
     while den % p == 0:
         den //= p
     return num * pow(den, -1, p) % p
-
-
-def _legendre(u, p):
-    """Legendre symbol of a p-unit residue, as +1 or -1."""
-    r = pow(u % p, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
 
 
 def _block_split(gram, p):
@@ -151,7 +144,7 @@ def jordan_decomposition(lat, p, precision=None):
     """
     if p == 2:
         raise DomainError("p = 2 is not supported by the odd-p theory")
-    if p < 3 or not _is_prime(p):
+    if not is_prime(p):
         raise DomainError(f"{p} is not an odd prime")
     vdet = _val(lat.det, p)
     if precision is None:
@@ -164,7 +157,7 @@ def jordan_decomposition(lat, p, precision=None):
         assert len(block) == 1
         rank, unit = scales.get(v, (0, 1))
         scales[v] = (rank + 1, unit * _unit_mod_p(block[0][0], p) % p)
-    blocks = tuple((v, rank, _legendre(unit, p))
+    blocks = tuple((v, rank, kronecker_symbol(unit, p))
                    for v, (rank, unit) in sorted(scales.items()))
     out = JordanDecomposition(prime=p, blocks=blocks)
     assert out.rank == lat.rank
@@ -175,17 +168,6 @@ def jordan_decomposition(lat, p, precision=None):
 def is_selfdual_at_p(lat, p):
     """True iff the lattice is unimodular over the p-adic integers."""
     return lat.det % p != 0
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _require_hyperbolic_pair(lat, what):
@@ -205,7 +187,7 @@ def pointed_equivalent_at_p(lat, v, w, p):
     Under that hypothesis (and evenness when p = 2) the orbit is determined
     by the self-pairing alone, so this reduces to comparing v^2 with w^2.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     v = as_vector(v, lat.rank)
     w = as_vector(w, lat.rank)
@@ -254,10 +236,10 @@ def pointed_invariants(lat, v):
         raise DomainError("the distinguished vector must be primitive")
     _require_hyperbolic_pair(lat, "pointed_invariants")
     comp, _ = orthogonal_complement(lat, v)
-    dets = abs(comp.det)
     odd = []
-    for p in _odd_prime_divisors(dets):
-        odd.append((p, jordan_decomposition(comp, p)))
+    for p, _ in factorize(comp.det):
+        if p != 2:
+            odd.append((p, jordan_decomposition(comp, p)))
     return PointedInvariants(
         signature=signature(lat),
         point_norm=inner_product(lat, v, v),
@@ -265,23 +247,6 @@ def pointed_invariants(lat, v):
         odd_local=tuple(odd),
         two_part=disc_local_part(discriminant_group(comp), 2),
     )
-
-
-def _odd_prime_divisors(n):
-    out = []
-    n = abs(n)
-    while n % 2 == 0:
-        n //= 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -307,7 +272,7 @@ def artin_invariant(lat, p):
     is half the rank of the scaled part, and sigma = 1 is flagged
     superspecial.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     groups = {}
     for v, block, basis in _block_split(lat.gram, p):
@@ -339,7 +304,7 @@ def artin_invariant(lat, p):
     t0_basis, t0_gram = assemble(scaled_blocks, scaled_bases, p)
     for g in (t1_gram, t0_gram):
         if g:
-            dv = _val(_fraction_det(g), p)
+            dv = _val(la.det(g), p)
             assert dv == 0, "witness block is not p-unimodular"
     return ArtinResult(
         prime=p,
@@ -350,23 +315,3 @@ def artin_invariant(lat, p):
         unscaled_gram=t1_gram,
         scaled_gram=t0_gram,
     )
-
-
-def _fraction_det(g):
-    n = len(g)
-    m = [[Fraction(x) for x in row] for row in g]
-    out = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            out = -out
-        out *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return out

@@ -14,6 +14,7 @@ from .errors import DomainError, InconsistencyError, StructureError
 from .lattice_core import (QuadLattice, as_vector, direct_sum, make_E8,
                            make_U, orthogonal_complement)
 from .local_arith import _val
+from .prime_density import is_prime
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,8 @@ def mukai_perp_disc_check(v, ns, p):
     big = mukai_lattice(ns)
     vec = mukai_vector_embed(v, ns)
     perp, _ = orthogonal_complement(big, vec)
-    pe = _val(perp.det, p) if perp.det % p == 0 else 0
-    ne = _val(ns.det, p) if ns.det % p == 0 else 0
+    pe = _val(perp.det, p)
+    ne = _val(ns.det, p)
     match = pe == ne
     applies = big.rank == 24
     ok = (pe <= 20) if applies else True
@@ -180,9 +181,9 @@ def newton_polygon(coeffs, p):
     if coeffs[0] == 0:
         raise DomainError("zero constant term: polygon has an infinite "
                           "slope, which is rejected")
-    if p < 2 or not _is_prime_small(p):
+    if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    pts = [(i, _int_val(c, p)) for i, c in enumerate(coeffs) if c != 0]
+    pts = [(i, _val(c, p)) for i, c in enumerate(coeffs) if c != 0]
     hull = _lower_hull(pts)
     slopes = []
     for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
@@ -201,15 +202,6 @@ def newton_polygon(coeffs, p):
     return out
 
 
-def _int_val(c, p):
-    v = 0
-    c = abs(c)
-    while c % p == 0:
-        c //= p
-        v += 1
-    return v
-
-
 def _lower_hull(pts):
     hull = []
     for pt in pts:
@@ -222,15 +214,6 @@ def _lower_hull(pts):
                 break
         hull.append(pt)
     return hull
-
-
-def _is_prime_small(p):
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return p >= 2
 
 
 def is_supersingular_newton(polygon, weight):
@@ -270,10 +253,8 @@ class FrobeniusPairingInstance:
 
 def check_k3_crystal_pairing(inst):
     """True iff F^T G F = p^2 G: the Frobenius scales the pairing by p^2."""
-    f = [list(r) for r in inst.frobenius]
-    g = [list(r) for r in inst.gram]
-    lhs = la.mat_mul(la.transpose(f), la.mat_mul(g, f))
-    rhs = [[inst.prime ** 2 * x for x in row] for row in g]
+    lhs = la.congruence(inst.frobenius, inst.gram)
+    rhs = [[inst.prime ** 2 * x for x in row] for row in inst.gram]
     return lhs == rhs
 
 

@@ -28,6 +28,29 @@ def is_prime(n):
     return True
 
 
+def factorize(n):
+    """Sorted (prime, exponent) pairs of |n| for n != 0, by trial division:
+    the power of 2 first, then odd divisors only."""
+    n = abs(n)
+    if n == 0:
+        raise DomainError("0 has no prime factorization")
+    twos = (n & -n).bit_length() - 1
+    out = [(2, twos)] if twos else []
+    n >>= twos
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def kronecker_symbol(a, n):
     """The Kronecker symbol (a | n), by the standard recursion."""
     a = int(a)
@@ -64,17 +87,10 @@ def squarefree_part(d):
     if d < 1:
         raise DomainError("d must be positive")
     out = 1
-    f = 2
-    while f * f <= d:
-        if d % f == 0:
-            e = 0
-            while d % f == 0:
-                d //= f
-                e += 1
-            if e % 2 == 1:
-                out *= f
-        f += 1
-    return out * d
+    for f, e in factorize(d):
+        if e % 2 == 1:
+            out *= f
+    return out
 
 
 def field_discriminant(d):

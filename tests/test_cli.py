@@ -92,6 +92,42 @@ def test_bb_recover_w_samples_mode(capsys, monkeypatch):
     assert json.loads(out)["q"] == [["2", "0"], ["0", "-2"]]
 
 
+def w_doc(values):
+    return {"n": 1, "xi": ["1", "0"], "xi_norm": "2",
+            "w_basis_values": values}
+
+
+def test_bb_recover_w_keys_in_any_order(capsys, monkeypatch):
+    outs = []
+    for cross in ("0,1", "1,0"):
+        code, out, err = run_cli(capsys, monkeypatch, ["bb-recover"],
+                                 w_doc({"0,0": "2", cross: "1",
+                                        "1,1": "-4"}))
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["q"] == [["2", "1"], ["1", "-4"]]
+    # two spellings of one multiset are fine when they agree
+    code, out, _ = run_cli(capsys, monkeypatch, ["bb-recover"],
+                           w_doc({"0,0": "2", "0,1": "1", "1,0": "1",
+                                  "1,1": "-4"}))
+    assert code == 0 and out == outs[0]
+
+
+@pytest.mark.parametrize("bad_key, values", [
+    ("0,2", {"0,0": "2", "0,1": "1", "1,1": "-4", "0,2": "5"}),
+    ("0,0,1", {"0,0": "2", "0,1": "1", "1,1": "-4", "0,0,1": "5"}),
+    ("1,0", {"0,0": "2", "0,1": "1", "1,0": "3", "1,1": "-4"}),
+], ids=["index-out-of-range", "wrong-length", "conflicting-spellings"])
+def test_bb_recover_w_bad_keys_are_exit_2(capsys, monkeypatch, bad_key,
+                                          values):
+    code, out, err = run_cli(capsys, monkeypatch, ["bb-recover"],
+                             w_doc(values))
+    assert code == 2
+    assert out == ""
+    assert f"key {bad_key!r}" in err
+
+
 def test_bb_recover_isotropic_xi_is_exit_4(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, monkeypatch, ["bb-recover"],
                          {"n": 2, "xi": ["1", "0"],
@@ -267,8 +303,7 @@ def test_meta_wrapper(capsys, monkeypatch):
 @pytest.mark.parametrize("path", GOLDEN, ids=[p.stem for p in GOLDEN])
 def test_golden_corpus(capsys, monkeypatch, path):
     # Each case holds argv, stdin text, and the exit code, stdout and stderr
-    # recorded from main() before the arithmetic helpers were merged; the
-    # output must stay byte-identical.
+    # that main() must reproduce byte for byte; refactors keep them all.
     case = json.loads(path.read_text())
     code, out, err = run_cli(capsys, monkeypatch, case["argv"],
                              case["stdin"])

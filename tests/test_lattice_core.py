@@ -114,7 +114,8 @@ def test_orthogonal_complement_hyperbolic():
 
 
 def test_orthogonal_complement_isotropic_degenerate():
-    with pytest.raises(DegenerateLatticeError):
+    with pytest.raises(DegenerateLatticeError,
+                       match="induced form on the complement is degenerate"):
         orthogonal_complement(make_U(), (1, 0))
 
 

@@ -215,7 +215,7 @@ def test_artin_witness_blocks():
 
 
 def test_block_split_is_congruence():
-    from k3lattice.local_arith import _fraction_det
+    from k3lattice._intlinalg import det as _fraction_det
     rng = random.Random(59)
     for p in (2, 3, 5):
         for _ in range(15):

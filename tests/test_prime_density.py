@@ -3,12 +3,20 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import jacobi_symbol
 
 from k3lattice import (DomainError, empirical_density,
                        fermat_cubic_supersingular, field_discriminant,
                        is_inert, is_prime, is_ramified, kronecker_symbol,
                        sieve_primes, squarefree_part, union_inert_density)
+from k3lattice.prime_density import factorize
+
+# property tests stay deterministic so that tier-1 runs are reproducible
+ORACLE = settings(derandomize=True, deadline=None, database=None,
+                  max_examples=300)
 
 
 def test_kronecker_examples():
@@ -135,3 +143,40 @@ def test_empirical_density_converges():
                                 theor)
         devs.append(rep.deviation())
     assert devs[1] < devs[0]
+
+
+@ORACLE
+@given(st.integers(-10, 10 ** 7))
+def test_is_prime_against_sympy(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_fixed_cases_against_sympy():
+    primes = [999999999989, 1000000000039, 999999999959]
+    semiprimes = [999983 * 1000003, 999979 * 999983, 1000003 * 1000033]
+    for n in (list(range(-10, 5000)) + primes + semiprimes
+              + [p + 2 for p in primes]):
+        assert is_prime(n) == sympy.isprime(n)
+    assert all(is_prime(p) for p in primes)
+    assert not any(is_prime(n) for n in semiprimes)
+
+
+@ORACLE
+@given(st.integers(-10 ** 9, 10 ** 9).filter(bool))
+def test_factorize_against_sympy(n):
+    assert factorize(n) == sorted(sympy.factorint(abs(n)).items())
+
+
+def test_factorize_rejects_zero():
+    with pytest.raises(DomainError):
+        factorize(0)
+
+
+@ORACLE
+@given(st.integers(1, 10 ** 9))
+def test_squarefree_part_against_sympy(d):
+    expected = 1
+    for p, e in sympy.factorint(d).items():
+        if e % 2 == 1:
+            expected *= p
+    assert squarefree_part(d) == expected
