@@ -22,14 +22,14 @@ from .disc_form import disc_local_part, discriminant_group
 from .enumeration import vectors_of_norm
 from .errors import (CapacityError, DegenerateLatticeError, DomainError,
                      InconsistencyError, InvalidGramError, StructureError)
-from .lattice_core import QuadLattice, signature
+from .lattice_core import QuadLattice
 from .local_arith import (artin_invariant, jordan_decomposition,
                           pointed_equivalent_at_p, pointed_invariants)
 from .moduli_arith import (MukaiVector, is_supersingular_newton,
                            mukai_lattice, mukai_pairing,
                            mukai_perp_disc_check, newton_polygon)
 from .prime_density import (empirical_density, factorize,
-                            fermat_cubic_supersingular, is_inert, is_prime,
+                            field_discriminant, is_prime, kronecker_symbol,
                             union_inert_density)
 
 
@@ -193,6 +193,14 @@ def cmd_bb_recover(args):
     return {"q": [_s(list(row)) for row in rec]}
 
 
+def _inert_in_any(ds):
+    """Predicate on the sieve's primes p: p is inert in Q(sqrt(-d)) for
+    some d in ds.  Each field discriminant is computed once, and p, prime by
+    construction, is not tested for primality again."""
+    discs = [field_discriminant(d) for d in ds]
+    return lambda p: any(kronecker_symbol(D, p) == -1 for D in discs)
+
+
 def cmd_density(args):
     if args.bound < 100:
         raise InvalidGramError("--bound must be at least 100")
@@ -202,12 +210,13 @@ def cmd_density(args):
         raise InvalidGramError(
             "exactly one of --fermat / --inert / --union is required")
     if args.fermat:
-        predicate = lambda p: p != 3 and fermat_cubic_supersingular(p)
+        # fermat_cubic_supersingular's criterion; false at p = 3
+        predicate = lambda p: p % 3 == 2
         theoretical = Fraction(1, 2)
         label = "fermat-cubic-supersingular"
     elif args.inert is not None:
         ds = [int(x) for x in args.inert.split(",")]
-        predicate = lambda p: any(is_inert(p, d) for d in ds)
+        predicate = _inert_in_any(ds)
         theoretical = None
         label = f"inert-in-any:{','.join(map(str, ds))}"
     else:
@@ -215,7 +224,7 @@ def cmd_density(args):
         for q in ps:
             if not is_prime(q):
                 raise InvalidGramError(f"--union entries must be prime: {q}")
-        predicate = lambda p: any(is_inert(p, q) for q in ps)
+        predicate = _inert_in_any(ps)
         theoretical = union_inert_density(ps)
         label = f"union-inert:{','.join(map(str, ps))}"
     rep = empirical_density(predicate, args.bound, theoretical)

@@ -9,7 +9,7 @@ from math import floor, isqrt
 
 from . import _intlinalg as la
 from .errors import CapacityError, DomainError
-from .lattice_core import QuadLattice, as_vector, signature
+from .lattice_core import as_vector, signature
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 from . import _intlinalg as la
 from .bb_form import degree_to_bb, perfect_matchings
-from .errors import DomainError, InconsistencyError, StructureError
+from .errors import DomainError, InconsistencyError
 from .lattice_core import (QuadLattice, as_vector, direct_sum, make_E8,
                            make_U, orthogonal_complement)
 from .local_arith import _val
@@ -84,6 +84,8 @@ def mukai_perp_disc_check(v, ns, p):
     lattices.  A mismatch would contradict the underlying theory and raises
     InconsistencyError.
     """
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     vsq = mukai_pairing(v, v, ns)
     if vsq % p == 0:
         raise DomainError("the comparison requires p not dividing v^2")

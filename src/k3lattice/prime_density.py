@@ -8,47 +8,207 @@ bound.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
+
+
+# The first 13 primes: trial divisors and Miller-Rabin bases of is_prime.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_t, the least strong pseudoprime to the first t prime bases, for the t
+# where it grows (Jaeschke 1993; Sorenson-Webster 2017): below psi_t the
+# first t primes decide primality exactly.
+_MR_LIMITS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+              (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+              (3825123056546413051, 9), (318665857834031151167461, 12),
+              (3317044064679887385961981, 13))
+
+# Pollard-Brent steps (evaluations of x -> x^2 + c) one factorize call may
+# spend; the expected cost of splitting off a prime q is about sqrt(q)
+# steps, so this clears factors up to about 40 bits.
+RHO_STEP_BUDGET = 1 << 22
+
+# Steps of Brent's rho between two gcds.
+_RHO_BATCH = 128
+
+# factorize divides out the primes up to this bound before running rho.
+_TRIAL_BOUND = 1000
+
+
+def _strong_probable_prime(n, a):
+    """Strong Fermat test of the odd n > 2 to base a."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    x = pow(a, d >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas_probable_prime(n):
+    """Strong Lucas test of the odd n > 2 that is not a square, with
+    Selfridge's parameters: the first D in 5, -7, 9, -11, ... with
+    (D | n) = -1, P = 1 and Q = (1 - D) / 4."""
+    D = 5
+    while True:
+        j = kronecker_symbol(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    # U_k, V_k and Q^k for k the leading bits of d, P = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V = U * V % n, (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n
+            U = (U + n if U & 1 else U) >> 1
+            V = (V + n if V & 1 else V) >> 1
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
 
 
 def is_prime(n):
-    """Trial-division primality test (desk-scale inputs)."""
+    """Primality of an integer: trial division by the first 13 primes,
+    then Miller-Rabin with the first t prime bases, exact below psi_t; above
+    3317044064679887385961981 = psi_13, the Baillie-PSW test (a strong
+    base-2 test and a strong Lucas test), for which no counterexample is
+    known."""
     if n < 2:
         return False
-    if n < 4:
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    for limit, t in _MR_LIMITS:
+        if n < limit:
+            return all(_strong_probable_prime(n, a)
+                       for a in _SMALL_PRIMES[:t])
+    r = isqrt(n)
+    return (r * r != n and _strong_probable_prime(n, 2)
+            and _strong_lucas_probable_prime(n))
+
+
+def _integer_root(n, k):
+    """The floor of the k-th root of n >= 1, by Newton's iteration from
+    above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(n):
+    """(r, k) with n = r^k and k >= 2 least, or None; n has no prime factor
+    up to _TRIAL_BOUND = 1000, so 1000^k < n."""
+    k = 2
+    while _TRIAL_BOUND ** k < n:
+        r = _integer_root(n, k)
+        if r ** k == n:
+            return r, k
+        k += 1
+    return None
+
+
+def _pollard_brent(n, budget):
+    """A proper divisor of the odd composite n and the steps spent, by
+    Brent's variant of Pollard's rho with x0 = 2 and c = 1, 2, 3, ...
+    Raises CapacityError once more than budget steps are spent."""
+    steps = 0
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            steps += r
+            k = 0
+            while k < r and g == 1:
+                if steps > budget:
+                    raise CapacityError(
+                        f"factoring budget of {RHO_STEP_BUDGET} "
+                        f"Pollard-Brent steps exhausted on a "
+                        f"{n.bit_length()}-bit cofactor")
+                ys = y
+                batch = min(_RHO_BATCH, r - k)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                steps += batch
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # the batch overshot: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g, steps
 
 
 def factorize(n):
-    """Sorted (prime, exponent) pairs of |n| for n != 0, by trial division:
-    the power of 2 first, then odd divisors only."""
+    """Sorted (prime, exponent) pairs of |n| for n != 0: the power of 2 by
+    bit count, trial division by the odd primes up to _TRIAL_BOUND, then
+    perfect-power roots and Pollard-Brent rho on what is left, each part
+    tested with is_prime.
+
+    Raises CapacityError when splitting the cofactor takes more than
+    RHO_STEP_BUDGET rho steps."""
     n = abs(n)
     if n == 0:
         raise DomainError("0 has no prime factorization")
     twos = (n & -n).bit_length() - 1
-    out = [(2, twos)] if twos else []
+    exps = {2: twos} if twos else {}
     n >>= twos
-    d = 3
-    while d * d <= n:
+    for d in _TRIAL_DIVISORS:
+        if d * d > n:
+            break
         if n % d == 0:
             e = 0
             while n % d == 0:
                 n //= d
                 e += 1
-            out.append((d, e))
-        d += 2
-    if n > 1:
-        out.append((n, 1))
-    return out
+            exps[d] = e
+    budget = RHO_STEP_BUDGET
+    stack = [(n, 1)] if n > 1 else []
+    while stack:
+        m, e = stack.pop()
+        if is_prime(m):
+            exps[m] = exps.get(m, 0) + e
+            continue
+        power = _perfect_power(m)
+        if power is not None:
+            stack.append((power[0], e * power[1]))
+            continue
+        d, spent = _pollard_brent(m, budget)
+        budget -= spent
+        stack += [(d, e), (m // d, e)]
+    return sorted(exps.items())
 
 
 def kronecker_symbol(a, n):
@@ -155,6 +315,10 @@ def sieve_primes(bound):
             flags[i * i::i] = bytearray(len(flags[i * i::i]))
         i += 1
     return [i for i, f in enumerate(flags) if f]
+
+
+# the odd primes up to _TRIAL_BOUND, for factorize
+_TRIAL_DIVISORS = sieve_primes(_TRIAL_BOUND)[1:]
 
 
 @dataclass(frozen=True)

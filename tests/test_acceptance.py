@@ -8,7 +8,6 @@ import time
 from fractions import Fraction
 from math import comb
 
-import k3lattice._intlinalg as la
 from helpers import (congruence_isometry_instance, isometry_with_gram_instance,
                      pair_value, perm_symmetrized_power, random_even_gram)
 from k3lattice import (FrobeniusPairingInstance, MukaiVector, QuadLattice,

@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import pytest
+import sympy
 
 from k3lattice import k3n_lattice, make_E8
 from k3lattice.cli import main
@@ -205,6 +206,23 @@ def test_mukai(capsys, monkeypatch):
     payload["p"] = "2"
     code, _, _ = run_cli(capsys, monkeypatch, ["mukai"], payload)
     assert code == 3
+
+
+@pytest.mark.parametrize("p", ["0", "4"])
+def test_mukai_non_prime_p_exits_3(capsys, monkeypatch, p):
+    payload = {"ns": [["6"]], "v": {"r": "1", "c1": ["0"], "s": "-1"},
+               "p": p}
+    code, out, err = run_cli(capsys, monkeypatch, ["mukai"], payload)
+    assert (code, out, err) == (3, "", f"error: {p} is not prime\n")
+
+
+def test_disc_order_beyond_factoring_budget_exits_3(capsys, monkeypatch):
+    # the order is a product of two 80-bit primes
+    p, q = sympy.nextprime(2 ** 79), sympy.nextprime(2 ** 80)
+    code, out, err = run_cli(capsys, monkeypatch, ["disc"],
+                             {"gram": [[str(p), "0"], ["0", str(q)]]})
+    assert code == 3 and out == ""
+    assert "Pollard-Brent steps exhausted on a 160-bit cofactor" in err
 
 
 def test_jordan(capsys, monkeypatch):

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 

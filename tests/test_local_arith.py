@@ -1,4 +1,5 @@
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -164,6 +165,20 @@ def test_pointed_invariants_match_brute_force_small():
         warnings.simplefilter("ignore")
         assert pointed_invariants(lam, v) != pointed_invariants(lam, v2)
     assert pointed_isometry_search(lam.gram, v, v2, bound=1) is None
+
+
+def test_pointed_invariants_two_large_primes_is_fast():
+    # the complement of e + N f in U + U has determinant 2N, with
+    # N = (1e9+7)(1e9+9) (53 s by trial division)
+    lam = direct_sum(make_U(), make_U())
+    n = (10 ** 9 + 7) * (10 ** 9 + 9)
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inv = pointed_invariants(lam, (1, n, 0, 0))
+    assert time.perf_counter() - start < 2
+    assert abs(inv.complement_det) == 2 * n
+    assert [p for p, _ in inv.odd_local] == [10 ** 9 + 7, 10 ** 9 + 9]
 
 
 def test_artin_examples():

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-import k3lattice._intlinalg as la
 from helpers import isometry_with_gram_instance, random_even_gram
 from k3lattice import (DomainError, FrobeniusPairingInstance, MukaiVector,
                        QuadLattice, abel_jacobi_constants,
@@ -75,6 +74,14 @@ def test_mukai_perp_disc_check():
     # NS unimodular at p: both parts trivial
     rep2 = mukai_perp_disc_check(hilbert_scheme_vector(3, ns), ns, 7)
     assert rep2.perp_p_exponent == 0 and rep2.ns_p_exponent == 0
+
+
+@pytest.mark.parametrize("p", [0, 4])
+def test_mukai_perp_disc_check_rejects_non_prime_p(p):
+    # p = 0 used to divide by zero, p = 4 to report a false mismatch
+    ns = make_rank1(6)
+    with pytest.raises(DomainError, match=f"^{p} is not prime$"):
+        mukai_perp_disc_check(MukaiVector(1, (0,), -1), ns, p)
 
 
 def test_mukai_perp_disc_check_random():

@@ -1,18 +1,20 @@
 import random
+import time
 from fractions import Fraction
-from math import gcd
+from math import prod
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import jacobi_symbol
+from sympy.ntheory.factor_ import find_carmichael_numbers_in_range
 
-from k3lattice import (DomainError, empirical_density,
+from k3lattice import (CapacityError, DomainError, empirical_density,
                        fermat_cubic_supersingular, field_discriminant,
                        is_inert, is_prime, is_ramified, kronecker_symbol,
                        sieve_primes, squarefree_part, union_inert_density)
-from k3lattice.prime_density import factorize
+from k3lattice.prime_density import RHO_STEP_BUDGET, factorize
 
 # property tests stay deterministic so that tier-1 runs are reproducible
 ORACLE = settings(derandomize=True, deadline=None, database=None,
@@ -180,3 +182,94 @@ def test_squarefree_part_against_sympy(d):
         if e % 2 == 1:
             expected *= p
     assert squarefree_part(d) == expected
+
+
+def _chernick_carmichaels(k0, count):
+    """The first ``count`` Carmichael numbers (6k+1)(12k+1)(18k+1), k >= k0,
+    whose three factors are prime (Chernick 1939)."""
+    out = []
+    k = k0
+    while len(out) < count:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(sympy.isprime(f) for f in factors):
+            out.append(prod(factors))
+        k += 1
+    return out
+
+
+def test_is_prime_carmichael_numbers():
+    # Fermat liars to every coprime base; the two scans reach the
+    # Miller-Rabin range near 1e21 and the Baillie-PSW range past 3.3e24
+    carmichaels = (
+        find_carmichael_numbers_in_range(1, 10 ** 5)
+        + _chernick_carmichaels(10 ** 6, 5)
+        + _chernick_carmichaels(10 ** 8, 5))
+    assert max(carmichaels) > 3317044064679887385961981
+    for n in carmichaels:
+        assert not sympy.isprime(n)
+        assert not is_prime(n)
+
+
+# psi_t, the least strong pseudoprime to the first t prime bases, at each t
+# where is_prime changes its base set
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                       3474749660383, 341550071728321, 3825123056546413051,
+                       318665857834031151167461,
+                       3317044064679887385961981)
+
+
+def test_is_prime_strong_pseudoprimes_at_base_set_boundaries():
+    for psi in STRONG_PSEUDOPRIMES:
+        assert not is_prime(psi)
+        for n in range(psi - 300, psi + 300):
+            assert is_prime(n) == sympy.isprime(n), n
+
+
+@ORACLE
+@given(st.integers(64, 200).flatmap(lambda bits: st.tuples(
+    st.integers(2 ** (bits - 1), 2 ** bits),
+    st.integers(2 ** (bits // 2 - 1), 2 ** (bits // 2)))))
+def test_is_prime_large_against_sympy(xy):
+    # past 3317044064679887385961981 (about 2^81.5) this is Baillie-PSW
+    x, y = xy
+    p = sympy.nextprime(x)
+    semiprime = sympy.nextprime(y) * sympy.nextprime(x // y)
+    assert is_prime(p)
+    assert not is_prime(semiprime)
+    assert not is_prime(p * p)
+    for n in (x, x | 1):
+        assert is_prime(n) == sympy.isprime(n)
+
+
+def _prime(bits_and_offset):
+    bits, offset = bits_and_offset
+    return sympy.nextprime(2 ** (bits - 1) + offset % 2 ** (bits - 1))
+
+
+PRIMES_20_TO_40_BITS = st.tuples(st.integers(20, 40),
+                                 st.integers(0, 2 ** 40)).map(_prime)
+
+
+@settings(ORACLE, max_examples=40)
+@given(st.lists(PRIMES_20_TO_40_BITS, min_size=2, max_size=3))
+def test_factorize_products_of_primes_against_sympy(primes):
+    n = prod(primes)
+    assert factorize(n) == sorted(sympy.factorint(n).items())
+
+
+@ORACLE
+@given(PRIMES_20_TO_40_BITS, st.integers(2, 12), st.integers(1, 10 ** 6))
+def test_factorize_prime_powers_against_sympy(p, k, m):
+    for n in (p ** k, m * p ** k):
+        assert factorize(n) == sorted(sympy.factorint(n).items())
+
+
+def test_factorize_beyond_the_rho_budget_raises():
+    # two 80-bit primes: rho would need about 2^40 steps
+    n = sympy.nextprime(2 ** 79) * sympy.nextprime(2 ** 80)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError,
+                       match=f"{RHO_STEP_BUDGET} Pollard-Brent steps .* "
+                             f"a 160-bit cofactor"):
+        factorize(n)
+    assert time.perf_counter() - start < 30
