@@ -154,13 +154,6 @@ def smith_normal_form(a):
     return d, s, t
 
 
-def invariant_factors(a):
-    """Nontrivial diagonal entries (> 1) of the Smith normal form."""
-    d, _, _ = smith_normal_form(a)
-    return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))
-                 if d[i][i] > 1)
-
-
 def integer_kernel(a):
     """Basis of the saturated lattice {x in Z^n : a x = 0}.
 
@@ -241,12 +234,20 @@ def row_lattice_basis(rows, n):
     return basis
 
 
-def symmetric_sign_counts(g):
-    """(positive, negative, zero) inertia of a symmetric rational matrix,
-    by exact congruence diagonalization."""
+def ldl(g):
+    """Exact symmetric elimination g = U^T D U of a symmetric rational
+    matrix: returns the pivots d and the rows c of the unit upper triangular
+    U, so that x^T g x = sum_i d_i (x_i + sum_{j>i} c_ij x_j)^2.
+
+    A pivot is moved or made only where a zero diagonal forces it, which
+    never happens on a definite matrix.  Where it happens, c no longer
+    factors g, but d still gives the inertia: len(d) is the rank, and the
+    signs of d count the positive and negative directions.
+    """
     n = len(g)
     a = [[Fraction(x) for x in row] for row in g]
-    pos = neg = 0
+    d = []
+    c = []
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][i] != 0), None)
         if piv is None:
@@ -256,25 +257,28 @@ def symmetric_sign_counts(g):
             if pair is None:
                 break
             i, j = pair
-            for c in range(k, n):
-                a[i][c] += a[j][c]
-            for r in range(k, n):
-                a[r][i] += a[r][j]
+            for t in range(k, n):
+                a[i][t] += a[j][t]
+            for t in range(k, n):
+                a[t][i] += a[t][j]
             piv = i
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             for row in a:
                 row[k], row[piv] = row[piv], row[k]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / d
-                for c in range(k, n):
-                    a[i][c] -= f * a[k][c]
-                for r in range(k, n):
-                    a[r][i] -= f * a[r][k]
-    return pos, neg, n - pos - neg
+        dk = a[k][k]
+        ck = [0] * n
+        ck[k] = 1
+        # Schur complement a[i][j] -= a[i][k] a[k][j] / d_k, which touches
+        # only the rows and columns where row k is nonzero
+        nz = [j for j in range(k + 1, n) if a[k][j] != 0]
+        for j in nz:
+            ck[j] = a[k][j] / dk
+        for i in nz:
+            f = a[k][i]
+            row = a[i]
+            for j in nz:
+                row[j] -= f * ck[j]
+        d.append(dk)
+        c.append(ck)
+    return d, c

@@ -20,6 +20,10 @@ from math import factorial, isqrt
 
 from . import _intlinalg as la
 from .errors import DomainError, InconsistencyError
+from .prime_density import _integer_root
+
+# degree_to_bb isolates an irrational root in an interval this wide.
+INTERVAL_WIDTH = Fraction(1, 10 ** 6)
 
 
 def perfect_matchings(n):
@@ -174,28 +178,12 @@ class DegreeRoot:
     interval: tuple
 
 
-def _nth_root_exact(a, n):
-    """Integer n-th root of a positive integer, or None."""
-    if a <= 0:
-        return None
-    lo, hi = 0, 1
-    while hi ** n < a:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** n < a:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo ** n == a else None
-
-
-def degree_to_bb(d, n, interval_width=Fraction(1, 10 ** 6)):
+def degree_to_bb(d, n):
     """The positive root of c_n x^n = d, where c_n counts perfect matchings.
 
     Converts the top self-intersection degree of a polarization into its
     Beauville-Bogomolov norm.  Exact when the root is rational; otherwise
-    returns an isolating interval of at most the requested width.
+    returns an isolating interval of width at most ``INTERVAL_WIDTH``.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -203,9 +191,9 @@ def degree_to_bb(d, n, interval_width=Fraction(1, 10 ** 6)):
     if d <= 0:
         raise DomainError("degree must be positive")
     target = d / perfect_matchings(n)
-    num = _nth_root_exact(target.numerator, n)
-    den = _nth_root_exact(target.denominator, n)
-    if num is not None and den is not None:
+    num = _integer_root(target.numerator, n)
+    den = _integer_root(target.denominator, n)
+    if num ** n == target.numerator and den ** n == target.denominator:
         root = Fraction(num, den)
         return DegreeRoot(root=root, is_integral=root.denominator == 1,
                           interval=(root, root))
@@ -213,7 +201,7 @@ def degree_to_bb(d, n, interval_width=Fraction(1, 10 ** 6)):
     hi = Fraction(max(1, isqrt(target.numerator // target.denominator) + 1))
     while hi ** n < target:
         hi *= 2
-    while hi - lo > interval_width:
+    while hi - lo > INTERVAL_WIDTH:
         mid = (lo + hi) / 2
         if mid ** n < target:
             lo = mid

@@ -45,14 +45,18 @@ def _int(x):
 
 def _frac(x):
     if isinstance(x, str):
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except ZeroDivisionError:
+            raise InvalidGramError(f"zero denominator: {x!r}") from None
     if isinstance(x, int):
         return Fraction(x)
     raise InvalidGramError(f"expected a rational string: {x!r}")
 
 
 def _s(x):
-    """Serialize exact values: ints and Fractions become decimal strings."""
+    """Serialize exact values: ints and Fractions become decimal strings.
+    main applies it once to the data object a command returns."""
     if isinstance(x, bool) or x is None:
         return x
     if isinstance(x, int):
@@ -64,6 +68,13 @@ def _s(x):
     if isinstance(x, dict):
         return {k: _s(v) for k, v in x.items()}
     return x
+
+
+def _array(obj, field, entry):
+    """A JSON array field, each entry read by ``entry``."""
+    if not isinstance(obj, list):
+        raise InvalidGramError(f"{field} must be a JSON array")
+    return [entry(x) for x in obj]
 
 
 def _load_gram(obj):
@@ -90,7 +101,7 @@ def _load_doc(payload):
     gram = _load_gram(payload["gram"])
     provenance = payload.get("provenance")
     if provenance is not None:
-        provenance = tuple(str(t) for t in provenance)
+        provenance = _array(provenance, "provenance", str)
     return QuadLattice(gram, summands=provenance)
 
 
@@ -104,8 +115,8 @@ def _read_payload():
 
 def _form_to_json(form):
     return {
-        "invariant_factors": _s(list(form.invariant_factors)),
-        "q_values": _s(list(form.q_values)),
+        "invariant_factors": form.invariant_factors,
+        "q_values": form.q_values,
     }
 
 
@@ -115,7 +126,7 @@ def cmd_disc(args):
     local = {str(ell): _form_to_json(disc_local_part(form, ell))
              for ell, _ in factorize(form.order)}
     out = _form_to_json(form)
-    out["order"] = _s(form.order)
+    out["order"] = form.order
     out["local_parts"] = local
     return out
 
@@ -123,6 +134,8 @@ def cmd_disc(args):
 def _load_w_values(obj, n, r):
     """Samples of w keyed by sorted basis-index multisets; a key may list
     its 2n indices in any order."""
+    if not isinstance(obj, dict):
+        raise InvalidGramError("w_basis_values must be a JSON object")
     values = {}
     for key, val in obj.items():
         combo = tuple(sorted(int(t) for t in key.split(",")))
@@ -148,14 +161,14 @@ def cmd_bb_recover(args):
         n = _int(payload["n"])
         res = degree_to_bb(_int(payload["degree"]), n)
         return {
-            "root": _s(res.root),
+            "root": res.root,
             "is_integral": res.is_integral,
-            "interval": _s(list(res.interval)),
+            "interval": res.interval,
         }
     n = _int(payload["n"])
-    xi = [_frac(x) for x in payload["xi"]]
+    xi = _array(payload["xi"], "xi", _frac)
     if "q" in payload:
-        q = [[_frac(x) for x in row] for row in payload["q"]]
+        q = _array(payload["q"], "q", lambda row: _array(row, "q", _frac))
         if len(q) != len(xi) or any(len(r) != len(q) for r in q):
             raise InvalidGramError("q must be square and match xi")
         xi_norm = la.vec_mat_vec(xi, q, xi)
@@ -190,7 +203,7 @@ def cmd_bb_recover(args):
     basis = [[Fraction(int(i == j)) for j in range(len(xi))]
              for i in range(len(xi))]
     rec = recover_form(w, n, xi, xi_norm, basis)
-    return {"q": [_s(list(row)) for row in rec]}
+    return {"q": rec}
 
 
 def _inert_in_any(ds):
@@ -230,23 +243,20 @@ def cmd_density(args):
     rep = empirical_density(predicate, args.bound, theoretical)
     return {
         "predicate": label,
-        "bound": _s(rep.bound),
-        "total_primes": _s(rep.total_primes),
-        "hits": _s(rep.hits),
-        "empirical_density": _s(rep.empirical_density),
-        "theoretical_density": _s(rep.theoretical_density),
+        "bound": rep.bound,
+        "total_primes": rep.total_primes,
+        "hits": rep.hits,
+        "empirical_density": rep.empirical_density,
+        "theoretical_density": rep.theoretical_density,
     }
 
 
 def cmd_newton(args):
     payload = _read_payload()
-    coeffs = [_int(c) for c in payload["coeffs"]]
+    coeffs = _array(payload["coeffs"], "coeffs", _int)
     p = _int(payload["p"])
     polygon = newton_polygon(coeffs, p)
-    out = {
-        "p": _s(p),
-        "slopes": [[_s(s), _s(m)] for s, m in polygon.slopes],
-    }
+    out = {"p": p, "slopes": polygon.slopes}
     if "weight" in payload:
         out["supersingular"] = is_supersingular_newton(
             polygon, _int(payload["weight"]))
@@ -259,11 +269,11 @@ def cmd_artin(args):
     p = _int(payload["p"])
     res = artin_invariant(lat, p)
     return {
-        "p": _s(p),
-        "sigma": _s(res.sigma),
+        "p": p,
+        "sigma": res.sigma,
         "superspecial": res.superspecial,
-        "unscaled_basis": [_s(list(v)) for v in res.unscaled_basis],
-        "scaled_basis": [_s(list(v)) for v in res.scaled_basis],
+        "unscaled_basis": res.unscaled_basis,
+        "scaled_basis": res.scaled_basis,
     }
 
 
@@ -274,80 +284,71 @@ def cmd_mukai(args):
 
     def load_vec(obj):
         return MukaiVector(r=_int(obj["r"]),
-                           c1=[_int(x) for x in obj["c1"]],
+                           c1=_array(obj["c1"], "c1", _int),
                            s=_int(obj["s"]))
 
     v = load_vec(payload["v"])
     big = mukai_lattice(ns)
     out = {
-        "lattice_rank": _s(big.rank),
-        "lattice_det": _s(big.det),
-        "v_square": _s(mukai_pairing(v, v, ns)),
+        "lattice_rank": big.rank,
+        "lattice_det": big.det,
+        "v_square": mukai_pairing(v, v, ns),
     }
     if "w" in payload:
-        out["pairing"] = _s(mukai_pairing(v, load_vec(payload["w"]), ns))
+        out["pairing"] = mukai_pairing(v, load_vec(payload["w"]), ns)
     if "p" in payload:
         rep = mukai_perp_disc_check(v, ns, _int(payload["p"]))
         out["disc_check"] = {
-            "p": _s(rep.prime),
-            "perp_rank": _s(rep.perp_rank),
-            "perp_det": _s(rep.perp_det),
-            "ns_det": _s(rep.ns_det),
-            "perp_p_exponent": _s(rep.perp_p_exponent),
-            "ns_p_exponent": _s(rep.ns_p_exponent),
+            "p": rep.prime,
+            "perp_rank": rep.perp_rank,
+            "perp_det": rep.perp_det,
+            "ns_det": rep.ns_det,
+            "perp_p_exponent": rep.perp_p_exponent,
+            "ns_p_exponent": rep.ns_p_exponent,
             "orders_match": rep.orders_match,
             "bound_p20_ok": rep.bound_p20_ok,
         }
     return out
 
 
+def _blocks_to_json(dec):
+    return [{"scale": k, "rank": r, "det_class": c} for k, r, c in dec.blocks]
+
+
 def cmd_jordan(args):
     payload = _read_payload()
     lat = _load_doc(payload)
     p = _int(payload["p"])
-    precision = _int(payload["precision"]) if "precision" in payload else None
-    dec = jordan_decomposition(lat, p, precision)
-    return {
-        "p": _s(p),
-        "blocks": [{"scale": _s(k), "rank": _s(r), "det_class": _s(c)}
-                   for k, r, c in dec.blocks],
-    }
+    dec = jordan_decomposition(lat, p)
+    return {"p": p, "blocks": _blocks_to_json(dec)}
 
 
 def cmd_enumerate(args):
     payload = _read_payload()
     lat = _load_doc(payload)
     norm = _int(payload["norm"])
-    bound = _int(payload.get("coeff_bound", 10 ** 6))
-    vs = vectors_of_norm(lat, norm, bound)
-    return {
-        "norm": _s(norm),
-        "count": _s(len(vs)),
-        "vectors": [_s(list(v)) for v in vs.vectors],
-    }
+    vs = vectors_of_norm(lat, norm)
+    return {"norm": norm, "count": len(vs), "vectors": vs.vectors}
 
 
 def cmd_pointed(args):
     payload = _read_payload()
     lat = _load_doc(payload)
-    point = [_int(x) for x in payload["point"]]
+    point = _array(payload["point"], "point", _int)
     captured = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         inv = pointed_invariants(lat, point)
         out = {
-            "signature": _s(list(inv.signature)),
-            "point_norm": _s(inv.point_norm),
-            "complement_det": _s(inv.complement_det),
-            "odd_local": {
-                str(p): [{"scale": _s(k), "rank": _s(r), "det_class": _s(c)}
-                         for k, r, c in dec.blocks]
-                for p, dec in inv.odd_local
-            },
+            "signature": inv.signature,
+            "point_norm": inv.point_norm,
+            "complement_det": inv.complement_det,
+            "odd_local": {str(p): _blocks_to_json(dec)
+                          for p, dec in inv.odd_local},
             "two_part": _form_to_json(inv.two_part),
         }
         if "point2" in payload:
-            point2 = [_int(x) for x in payload["point2"]]
+            point2 = _array(payload["point2"], "point2", _int)
             out["equal_invariants"] = inv == pointed_invariants(lat, point2)
             if "p" in payload:
                 out["equivalent_at_p"] = pointed_equivalent_at_p(
@@ -397,7 +398,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        data = args.func(args)
+        data = _s(args.func(args))
     except InconsistencyError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4

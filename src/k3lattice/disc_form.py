@@ -16,6 +16,10 @@ from . import _intlinalg as la
 from .errors import CapacityError, DomainError, StructureError
 from .lattice_core import QuadLattice, is_even, is_isometry
 
+# isotropic_subgroups and forms_isomorphic enumerate the group's elements and
+# raise CapacityError above this order.
+MAX_GROUP_ORDER = 10_000
+
 
 @dataclass(frozen=True)
 class FiniteQuadraticForm:
@@ -167,16 +171,16 @@ def _generated_subgroup(form, gens):
     return seen
 
 
-def isotropic_subgroups(form, max_order=10_000):
+def isotropic_subgroups(form):
     """All subgroups on which q vanishes, in a canonical order.
 
     Ordered by (order, sorted element tuples); always includes the trivial
     subgroup.  Raises CapacityError when the group is larger than
-    ``max_order``.
+    ``MAX_GROUP_ORDER``.
     """
-    if form.order > max_order:
+    if form.order > MAX_GROUP_ORDER:
         raise CapacityError(
-            f"group of order {form.order} exceeds bound {max_order}")
+            f"group of order {form.order} exceeds bound {MAX_GROUP_ORDER}")
     zero = (0,) * len(form.invariant_factors)
     isotropic = [x for x in form.elements() if form.q(x) == 0]
     iso_set = set(isotropic)
@@ -263,8 +267,9 @@ def acts_trivially_on_disc(lat, g, m):
     return True
 
 
-def forms_isomorphic(f1, f2, max_order=10_000):
-    """Brute-force isomorphism test for finite quadratic forms.
+def forms_isomorphic(f1, f2):
+    """Brute-force isomorphism test for finite quadratic forms of order at
+    most ``MAX_GROUP_ORDER``.
 
     Searches for a group isomorphism matching q and the associated pairing
     on generators, then verifies q on every element.
@@ -273,9 +278,9 @@ def forms_isomorphic(f1, f2, max_order=10_000):
         return False
     if f1.modulus != f2.modulus:
         return False
-    if f1.order > max_order:
+    if f1.order > MAX_GROUP_ORDER:
         raise CapacityError(
-            f"group of order {f1.order} exceeds bound {max_order}")
+            f"group of order {f1.order} exceeds bound {MAX_GROUP_ORDER}")
     if f1.is_trivial:
         return True
 

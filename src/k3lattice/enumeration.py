@@ -11,6 +11,12 @@ from . import _intlinalg as la
 from .errors import CapacityError, DomainError
 from .lattice_core import as_vector, signature
 
+# vectors_of_norm raises CapacityError past this coordinate size.
+COEFF_BOUND = 10 ** 6
+
+# is_isometric_definite raises CapacityError above this rank.
+MAX_ISOMETRY_RANK = 8
+
 
 @dataclass(frozen=True)
 class VectorSet:
@@ -21,32 +27,6 @@ class VectorSet:
 
     def __len__(self):
         return len(self.vectors)
-
-
-def _definite_sign(lat):
-    pos, neg = signature(lat)
-    if pos == lat.rank:
-        return 1
-    if neg == lat.rank:
-        return -1
-    raise DomainError("lattice is not definite")
-
-
-def _cholesky(gram):
-    """Exact decomposition Q(x) = sum_i d_i (x_i + sum_{j>i} c_ij x_j)^2
-    for a positive definite rational Gram matrix."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    c = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        for j in range(i + 1, n):
-            c[i][j] = a[i][j] / d[i]
-        for r in range(i + 1, n):
-            for s in range(i + 1, n):
-                a[r][s] -= a[r][i] * a[i][s] / d[i]
-    return d, c
 
 
 def _floor_sqrt(f):
@@ -71,21 +51,23 @@ def _range_bounds(center, radius2):
     return lo, hi
 
 
-def vectors_of_norm(lat, m, coeff_bound=10 ** 6):
+def vectors_of_norm(lat, m):
     """All lattice vectors x with <x, x> = m on a definite lattice.
 
-    Complete (the backtracking bounds are intrinsic); ``coeff_bound`` is a
+    Complete (the backtracking bounds are intrinsic); ``COEFF_BOUND`` is a
     sanity cap on coordinate sizes, exceeded only by absurd inputs.
     """
-    sign = _definite_sign(lat)
+    d, c = la.ldl(lat.gram)
+    sign = 1 if d[0] > 0 else -1
+    if any(sign * x < 0 for x in d):
+        raise DomainError("lattice is not definite")
+    d = [sign * x for x in d]
     n = lat.rank
     target = sign * m
     if target < 0:
         return VectorSet(m, ())
     if target == 0:
         return VectorSet(m, ((0,) * n,))
-    gram = [[sign * x for x in row] for row in lat.gram]
-    d, c = _cholesky(gram)
     found = []
     x = [0] * n
 
@@ -93,7 +75,7 @@ def vectors_of_norm(lat, m, coeff_bound=10 ** 6):
         # remaining = target - sum of completed squares for indices > i
         center = sum(c[i][j] * x[j] for j in range(i + 1, n))
         lo, hi = _range_bounds(center, Fraction(remaining, 1) / d[i])
-        if max(abs(lo), abs(hi)) > coeff_bound:
+        if max(abs(lo), abs(hi)) > COEFF_BOUND:
             raise CapacityError("coefficient bound exceeded")
         for t in range(lo, hi + 1):
             x[i] = t
@@ -110,21 +92,23 @@ def vectors_of_norm(lat, m, coeff_bound=10 ** 6):
     return VectorSet(m, tuple(found))
 
 
-def is_isometric_definite(l1, l2, max_rank=8):
-    """Search for an isometry between definite lattices.
+def is_isometric_definite(l1, l2):
+    """Search for an isometry between definite lattices of rank at most
+    ``MAX_ISOMETRY_RANK``.
 
     Returns a matrix g with g^T G2 g = G1 (columns are the images of the
     basis of l1 in the basis of l2), or None if no isometry exists.
     """
-    try:
-        s1 = _definite_sign(l1)
-        s2 = _definite_sign(l2)
-    except DomainError:
+    s1 = signature(l1)
+    s2 = signature(l2)
+    if 0 not in s1 or 0 not in s2:
         raise DomainError("isometry search requires definite lattices")
-    if l1.rank != l2.rank or s1 != s2:
+    # definite signatures agree iff the ranks and the signs do
+    if s1 != s2:
         return None
-    if l1.rank > max_rank:
-        raise CapacityError(f"rank {l1.rank} exceeds bound {max_rank}")
+    if l1.rank > MAX_ISOMETRY_RANK:
+        raise CapacityError(
+            f"rank {l1.rank} exceeds bound {MAX_ISOMETRY_RANK}")
     if l1.det != l2.det:
         return None
     n = l1.rank

@@ -184,9 +184,9 @@ def orthogonal_complement(lat, v):
 
 def signature(lat):
     """(positive, negative) inertia of the rational quadratic space."""
-    pos, neg, zero = la.symmetric_sign_counts(lat.gram)
-    assert zero == 0
-    return pos, neg
+    d, _ = la.ldl(lat.gram)
+    pos = sum(1 for x in d if x > 0)
+    return pos, len(d) - pos
 
 
 def is_even(lat):

@@ -135,23 +135,16 @@ class JordanDecomposition:
         return sum(k * r for k, r, _ in self.blocks)
 
 
-def jordan_decomposition(lat, p, precision=None):
+def jordan_decomposition(lat, p):
     """Jordan decomposition of a lattice at an odd prime.
 
-    ``precision`` (working exponent of p) must be at least v_p(det) + 2;
-    the default is v_p(det) + 4.  Internally the arithmetic is exact over
-    p-integral rationals, which is sharper than any finite precision.
+    The arithmetic is exact over p-integral rationals, so no working
+    precision is needed.
     """
     if p == 2:
         raise DomainError("p = 2 is not supported by the odd-p theory")
     if not is_prime(p):
         raise DomainError(f"{p} is not an odd prime")
-    vdet = _val(lat.det, p)
-    if precision is None:
-        precision = vdet + 4
-    if precision < vdet + 2:
-        raise DomainError(
-            f"precision {precision} is insufficient (need >= {vdet + 2})")
     scales = {}
     for v, block, _ in _block_split(lat.gram, p):
         assert len(block) == 1
@@ -161,7 +154,7 @@ def jordan_decomposition(lat, p, precision=None):
                    for v, (rank, unit) in sorted(scales.items()))
     out = JordanDecomposition(prime=p, blocks=blocks)
     assert out.rank == lat.rank
-    assert out.det_valuation() == vdet
+    assert out.det_valuation() == _val(lat.det, p)
     return out
 
 
@@ -274,25 +267,20 @@ def artin_invariant(lat, p):
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    groups = {}
-    for v, block, basis in _block_split(lat.gram, p):
-        if v not in (0, 1):
+    groups = {0: [], 1: []}  # basis vectors of the p^v-scaled blocks
+    for v, _, basis in _block_split(lat.gram, p):
+        if v not in groups:
             raise StructureError(
                 f"lattice has a p^{v}-scaled block at p = {p}; the "
                 "discriminant is not elementary p-abelian")
-        blk, vecs = groups.setdefault(v, ([], []))
-        blk.append(block)
-        vecs.append(basis)
-    scaled_blocks, scaled_bases = groups.get(1, ([], []))
-    unscaled_blocks, unscaled_bases = groups.get(0, ([], []))
-    rank1 = sum(len(b) for b in scaled_blocks)
+        groups[v].extend(basis)
+    rank1 = len(groups[1])
     if rank1 % 2 != 0:
         raise StructureError(
             "p-divisible part of the discriminant has odd rank")
     sigma = rank1 // 2
 
-    def assemble(blocks_list, bases_list, divide):
-        vecs = [v for basis in bases_list for v in basis]
+    def assemble(vecs, divide):
         g = [[None] * len(vecs) for _ in range(len(vecs))]
         for i, x in enumerate(vecs):
             for j, y in enumerate(vecs):
@@ -300,8 +288,8 @@ def artin_invariant(lat, p):
                 g[i][j] = Fraction(val) / divide
         return tuple(vecs), tuple(tuple(row) for row in g)
 
-    t1_basis, t1_gram = assemble(unscaled_blocks, unscaled_bases, 1)
-    t0_basis, t0_gram = assemble(scaled_blocks, scaled_bases, p)
+    t1_basis, t1_gram = assemble(groups[0], 1)
+    t0_basis, t0_gram = assemble(groups[1], p)
     for g in (t1_gram, t0_gram):
         if g:
             dv = _val(la.det(g), p)

@@ -35,6 +35,10 @@ _RHO_BATCH = 128
 # factorize divides out the primes up to this bound before running rho.
 _TRIAL_BOUND = 1000
 
+# sieve_primes raises CapacityError above this bound: the sieve holds a byte
+# per integer and a list of the primes found.
+SIEVE_LIMIT = 10 ** 7
+
 
 def _strong_probable_prime(n, a):
     """Strong Fermat test of the odd n > 2 to base a."""
@@ -304,7 +308,11 @@ def union_inert_density(primes):
 
 
 def sieve_primes(bound):
-    """All primes <= bound, by a basic Eratosthenes sieve."""
+    """All primes <= bound, by a basic Eratosthenes sieve; bound is at most
+    SIEVE_LIMIT."""
+    if bound > SIEVE_LIMIT:
+        raise CapacityError(
+            f"sieve bound {bound} exceeds limit {SIEVE_LIMIT}")
     if bound < 2:
         return []
     flags = bytearray([1]) * (bound + 1)

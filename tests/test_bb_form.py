@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from helpers import pair_value, perm_symmetrized_power
 from k3lattice import (DomainError, InconsistencyError, degree_to_bb,
@@ -203,6 +204,23 @@ def test_degree_to_bb_roundtrip():
         res = degree_to_bb(d, n)
         assert res.root == x
         assert res.is_integral == (x.denominator == 1)
+    # large roots, and their neighbours, against sympy's exact integer root
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        x = rng.randint(2, 10 ** rng.randint(10, 60))
+        for d in (perfect_matchings(n) * x ** n,
+                  perfect_matchings(n) * x ** n + 1, x ** n):
+            res = degree_to_bb(d, n)
+            target = Fraction(d, perfect_matchings(n))
+            num, num_exact = sympy.integer_nthroot(target.numerator, n)
+            den, den_exact = sympy.integer_nthroot(target.denominator, n)
+            if num_exact and den_exact:
+                assert res.root == Fraction(int(num), int(den))
+                assert res.is_integral == (den == 1)
+            else:
+                assert res.root is None and not res.is_integral
+                lo, hi = res.interval
+                assert lo ** n < target < hi ** n
 
 
 def test_degree_to_bb_irrational():

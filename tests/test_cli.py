@@ -129,6 +129,57 @@ def test_bb_recover_w_bad_keys_are_exit_2(capsys, monkeypatch, bad_key,
     assert f"key {bad_key!r}" in err
 
 
+U2 = {"gram": [["0", "1", "0", "0"], ["1", "0", "0", "0"],
+              ["0", "0", "0", "1"], ["0", "0", "1", "0"]],
+      "provenance": ["U", "U"]}
+
+
+@pytest.mark.parametrize("argv, payload, field", [
+    (["newton"], {"coeffs": "123", "p": "7"}, "coeffs"),
+    (["newton"], {"coeffs": {"1": "2"}, "p": "7"}, "coeffs"),
+    (["pointed"], {**U2, "point": "1100"}, "point"),
+    (["pointed"], {**U2, "point": ["1", "1", "0", "0"], "point2": "0011"},
+     "point2"),
+    (["bb-recover"], {"n": 1, "xi": "10", "q": [["2", "0"], ["0", "1"]]},
+     "xi"),
+    (["bb-recover"], {"n": 1, "xi": ["1", "0"], "q": ["20", "01"]}, "q"),
+    (["mukai"], {"ns": [["2"]], "v": {"r": "1", "c1": "0", "s": "-1"}},
+     "c1"),
+    (["pointed"], {**U2, "provenance": "UU", "point": ["1", "1", "0", "0"]},
+     "provenance"),
+], ids=["newton-string", "newton-object", "pointed-point", "pointed-point2",
+        "bb-recover-xi", "bb-recover-q-rows", "mukai-c1",
+        "pointed-provenance"])
+def test_array_field_rejects_non_array(capsys, monkeypatch, argv, payload,
+                                       field):
+    # a string must not be read one character at a time
+    code, out, err = run_cli(capsys, monkeypatch, argv, payload)
+    assert (code, out, err) == (2, "", f"error: {field} must be a JSON "
+                                       "array\n")
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": 1, "xi": ["1/0"], "q": [["1"]]},
+    {"n": 1, "xi": ["1"], "q": [["1/0"]]},
+    w_doc({"0,0": "2", "0,1": "1", "1,1": "-4"}) | {"xi_norm": "2/0"},
+    w_doc({"0,0": "2", "0,1": "1/0", "1,1": "-4"}),
+], ids=["xi", "q", "xi_norm", "w_basis_values"])
+def test_bb_recover_zero_denominator_is_exit_2(capsys, monkeypatch, payload):
+    code, out, err = run_cli(capsys, monkeypatch, ["bb-recover"], payload)
+    assert code == 2 and out == ""
+    assert err.startswith("error: zero denominator: ")
+
+
+@pytest.mark.parametrize("values", [["2", "1", "-4"], "2,1,-4", "7"],
+                         ids=["array", "string", "number-string"])
+def test_bb_recover_w_basis_values_must_be_object(capsys, monkeypatch,
+                                                  values):
+    code, out, err = run_cli(capsys, monkeypatch, ["bb-recover"],
+                             w_doc(values))
+    assert (code, out, err) == (
+        2, "", "error: w_basis_values must be a JSON object\n")
+
+
 def test_bb_recover_isotropic_xi_is_exit_4(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, monkeypatch, ["bb-recover"],
                          {"n": 2, "xi": ["1", "0"],
@@ -164,6 +215,15 @@ def test_density_flag_validation(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, monkeypatch,
                          ["density", "--union", "5,6", "--bound", "1000"])
     assert code == 2
+
+
+@pytest.mark.parametrize("bound", ["10000001", "100000000000000000000"])
+def test_density_bound_over_sieve_limit_is_exit_3(capsys, monkeypatch,
+                                                  bound):
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["density", "--fermat", "--bound", bound])
+    assert (code, out, err) == (
+        3, "", f"error: sieve bound {bound} exceeds limit 10000000\n")
 
 
 def test_newton(capsys, monkeypatch):

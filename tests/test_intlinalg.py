@@ -52,3 +52,78 @@ def test_congruence_is_triple_product(n, m, data):
                      for k in range(n) for l in range(n))
                  for j in range(m)] for i in range(m)]
     assert la.congruence(g, a) == expected
+
+
+def symmetric(entries, min_size=1):
+    """Symmetric square matrices of size min_size..6 from the upper
+    triangle."""
+    def build(n, data):
+        upper = data.draw(st.lists(entries, min_size=n * (n + 1) // 2,
+                                   max_size=n * (n + 1) // 2))
+        a = [[None] * n for _ in range(n)]
+        k = 0
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = upper[k]
+                k += 1
+        return a
+    return st.tuples(st.integers(min_size, 6), st.data()).map(
+        lambda t: build(*t))
+
+
+def sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def sympy_inertia(a):
+    """(positive, negative, zero) eigenvalue counts by Descartes' rule of
+    signs, which is exact on the real-rooted characteristic polynomial."""
+    m = sympy.Matrix(len(a), len(a),
+                     [sympy.Rational(x.numerator, x.denominator)
+                      for row in a for x in row])
+    coeffs = m.charpoly().all_coeffs()
+    pos = sign_changes(coeffs)
+    neg = sign_changes([c * (-1) ** k for k, c in enumerate(reversed(coeffs))])
+    return pos, neg, len(a) - pos - neg
+
+
+# few distinct values, so that zero diagonals, degenerate and indefinite
+# matrices are common and the pivot moves run; a zero diagonal throughout
+# makes the elimination create its pivots
+SMALL = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+HOLLOW = symmetric(SMALL).map(
+    lambda a: [[0 if i == j else x for j, x in enumerate(row)]
+               for i, row in enumerate(a)])
+
+
+@ORACLE
+@given(st.one_of(symmetric(SMALL), HOLLOW,
+                 symmetric(st.builds(Fraction, st.integers(-9, 9),
+                                     st.integers(1, 4)))))
+def test_ldl_inertia_against_descartes(a):
+    a = [[Fraction(x) for x in row] for row in a]
+    d, c = la.ldl(a)
+    assert len(c) == len(d)
+    assert all(x != 0 for x in d)
+    pos = sum(1 for x in d if x > 0)
+    assert (pos, len(d) - pos, len(a) - len(d)) == sympy_inertia(a)
+
+
+@ORACLE
+@given(st.integers(1, 6), st.sampled_from([1, -1]), st.data())
+def test_ldl_factors_definite_matrices(n, sign, data):
+    # sign (A^T A + E) with E a positive diagonal is definite
+    ints = st.integers(-9, 9)
+    a = data.draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    e = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    g = la.congruence(a, la.identity(n))
+    g = [[sign * (x + (e[i] if i == j else 0)) for j, x in enumerate(row)]
+         for i, row in enumerate(g)]
+    d, c = la.ldl(g)
+    assert len(d) == n and all(sign * x > 0 for x in d)
+    assert all(c[i][j] == (1 if i == j else 0)
+               for i in range(n) for j in range(i + 1))
+    dc = [[d[i] * x for x in c[i]] for i in range(n)]
+    assert la.mat_mul(la.transpose(c), dc) == g

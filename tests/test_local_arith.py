@@ -29,14 +29,11 @@ def test_jordan_examples():
             assert dec.blocks[0][1] == 1
 
 
-def test_jordan_rejects_two_and_bad_precision():
+def test_jordan_rejects_two():
     with pytest.raises(DomainError):
         jordan_decomposition(make_U(), 2)
-    with pytest.raises(DomainError):
-        jordan_decomposition(make_rank1(-18), 3, precision=2)
     # -18 = 9 * (-2) and -2 = 1 mod 3 is a residue
-    assert jordan_decomposition(make_rank1(-18), 3, precision=4).blocks == \
-        ((2, 1, 1),)
+    assert jordan_decomposition(make_rank1(-18), 3).blocks == ((2, 1, 1),)
 
 
 def test_jordan_isometry_invariance():

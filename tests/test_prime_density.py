@@ -14,7 +14,7 @@ from k3lattice import (CapacityError, DomainError, empirical_density,
                        fermat_cubic_supersingular, field_discriminant,
                        is_inert, is_prime, is_ramified, kronecker_symbol,
                        sieve_primes, squarefree_part, union_inert_density)
-from k3lattice.prime_density import RHO_STEP_BUDGET, factorize
+from k3lattice.prime_density import RHO_STEP_BUDGET, SIEVE_LIMIT, factorize
 
 # property tests stay deterministic so that tier-1 runs are reproducible
 ORACLE = settings(derandomize=True, deadline=None, database=None,
@@ -118,6 +118,17 @@ def test_sieve():
     assert primes[:5] == [2, 3, 5, 7, 11]
     assert len(primes) == 25
     assert all(is_prime(p) for p in primes)
+
+
+def test_sieve_limit():
+    # refused before anything is allocated, however large the bound
+    for bound in (SIEVE_LIMIT + 1, 10 ** 20):
+        with pytest.raises(CapacityError,
+                           match=f"sieve bound {bound} exceeds limit "
+                                 f"{SIEVE_LIMIT}"):
+            sieve_primes(bound)
+        with pytest.raises(CapacityError):
+            empirical_density(lambda p: True, bound)
 
 
 def test_empirical_density_basics():
