@@ -19,11 +19,27 @@ from fractions import Fraction
 from math import factorial, isqrt
 
 from . import _intlinalg as la
-from .errors import DomainError, InconsistencyError
+from .errors import CapacityError, DomainError, InconsistencyError
 from .prime_density import _integer_root
 
 # degree_to_bb isolates an irrational root in an interval this wide.
 INTERVAL_WIDTH = Fraction(1, 10 ** 6)
+
+# symmetrized_power sums over (2n)!/(2^n n!) matchings per call, and
+# recover_form makes O(r^2) calls of its w; both raise CapacityError above
+# this n.
+MAX_POWER_N = 5
+
+# degree_to_bb computes (2n)! and n-th powers; it raises CapacityError
+# above this n.
+MAX_DEGREE_N = 1000
+
+
+def _check_n(n, bound, name):
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if n > bound:
+        raise CapacityError(f"n = {n} exceeds {name} = {bound}")
 
 
 def perfect_matchings(n):
@@ -47,8 +63,7 @@ def _matchings(indices):
 def symmetrized_power(gram, n, args):
     """Evaluate the symmetrized 2n-fold product of the form ``gram`` on a
     tuple of exactly 2n rational vectors, summing over perfect matchings."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _check_n(n, MAX_POWER_N, "MAX_POWER_N")
     args = [tuple(Fraction(x) for x in v) for v in args]
     if len(args) != 2 * n:
         raise DomainError(f"expected {2 * n} vectors, got {len(args)}")
@@ -89,18 +104,16 @@ class SymmetrizedPowerForm:
         return symmetrized_power(self.base_form, self.degree, args)
 
 
-def recover_form(w, n, xi, xi_norm, basis, check="basic"):
+def recover_form(w, n, xi, xi_norm, basis):
     """Recover the unique symmetric form q with q(xi, xi) = xi_norm whose
     symmetrized 2n-fold product is ``w``.
 
     ``w`` is a callback taking a sequence of 2n rational vectors.  ``basis``
     must be a basis of the ambient space; the returned Gram matrix is q on
-    it.  ``check`` is "none", "basic" (default: diagonal and near-diagonal
-    samples), or "full" (every multiset of basis vectors); if the samples
-    are not reproduced by the recovered form, InconsistencyError is raised.
+    it.  If the recovered form does not reproduce w on xi and on the
+    diagonal and near-diagonal basis samples, InconsistencyError is raised.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _check_n(n, MAX_POWER_N, "MAX_POWER_N")
     xi_norm = Fraction(xi_norm)
     if xi_norm == 0:
         raise InconsistencyError("q(xi, xi) must be nonzero to recover q")
@@ -114,7 +127,7 @@ def recover_form(w, n, xi, xi_norm, basis, check="basic"):
 
     if n == 1:
         q = [[w((basis[i], basis[j])) for j in range(r)] for i in range(r)]
-        if check != "none" and w((xi, xi)) != xi_norm:
+        if w((xi, xi)) != xi_norm:
             raise InconsistencyError("w(xi, xi) contradicts the claimed "
                                      "q(xi, xi)")
     else:
@@ -133,34 +146,25 @@ def recover_form(w, n, xi, xi_norm, basis, check="basic"):
                 q[i][j] = q[j][i] = qa + cross[i] * cross[j] / xi_norm
     q = [[Fraction(x) for x in row] for row in q]
 
-    if check != "none":
-        cols = [[basis[j][t] for j in range(r)] for t in range(r)]
-        try:
-            inv = la.rational_inverse(cols)
-        except ZeroDivisionError:
-            raise DomainError("basis vectors are linearly dependent")
-        xi_coords = tuple(sum(inv[i][t] * xi[t] for t in range(r))
-                          for i in range(r))
-        unit = [tuple(Fraction(int(i == j)) for j in range(r))
-                for i in range(r)]
-        samples = [((xi,) * (2 * n), (xi_coords,) * (2 * n))]
-        if check == "full":
-            from itertools import combinations_with_replacement
-            for combo in combinations_with_replacement(range(r), 2 * n):
-                samples.append((tuple(basis[i] for i in combo),
-                                tuple(unit[i] for i in combo)))
-        else:
-            for i in range(r):
-                samples.append(((basis[i],) * (2 * n),
-                                (unit[i],) * (2 * n)))
-                for j in range(i + 1, r):
-                    samples.append(((basis[i],) * (2 * n - 1) + (basis[j],),
-                                    (unit[i],) * (2 * n - 1) + (unit[j],)))
-        for ambient, coords in samples:
-            if w(ambient) != symmetrized_power(q, n, coords):
-                raise InconsistencyError(
-                    "samples are not generated by any symmetric form with "
-                    "the given q(xi, xi)")
+    cols = [[basis[j][t] for j in range(r)] for t in range(r)]
+    try:
+        inv = la.rational_inverse(cols)
+    except ZeroDivisionError:
+        raise DomainError("basis vectors are linearly dependent")
+    xi_coords = tuple(sum(inv[i][t] * xi[t] for t in range(r))
+                      for i in range(r))
+    unit = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
+    samples = [((xi,) * (2 * n), (xi_coords,) * (2 * n))]
+    for i in range(r):
+        samples.append(((basis[i],) * (2 * n), (unit[i],) * (2 * n)))
+        for j in range(i + 1, r):
+            samples.append(((basis[i],) * (2 * n - 1) + (basis[j],),
+                            (unit[i],) * (2 * n - 1) + (unit[j],)))
+    for ambient, coords in samples:
+        if w(ambient) != symmetrized_power(q, n, coords):
+            raise InconsistencyError(
+                "samples are not generated by any symmetric form with "
+                "the given q(xi, xi)")
     return tuple(tuple(row) for row in q)
 
 
@@ -185,8 +189,7 @@ def degree_to_bb(d, n):
     Beauville-Bogomolov norm.  Exact when the root is rational; otherwise
     returns an isolating interval of width at most ``INTERVAL_WIDTH``.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _check_n(n, MAX_DEGREE_N, "MAX_DEGREE_N")
     d = Fraction(d)
     if d <= 0:
         raise DomainError("degree must be positive")
@@ -197,14 +200,17 @@ def degree_to_bb(d, n):
         root = Fraction(num, den)
         return DegreeRoot(root=root, is_integral=root.denominator == 1,
                           interval=(root, root))
-    lo = Fraction(0)
-    hi = Fraction(max(1, isqrt(target.numerator // target.denominator) + 1))
-    while hi ** n < target:
-        hi *= 2
-    while hi - lo > INTERVAL_WIDTH:
-        mid = (lo + hi) / 2
-        if mid ** n < target:
-            lo = mid
-        else:
-            hi = mid
-    return DegreeRoot(root=None, is_integral=False, interval=(lo, hi))
+    # The interval is the one that bisecting [0, h] returns, without the
+    # bisection: the m halvings down to INTERVAL_WIDTH end on the cell of
+    # step s = h/2^m that holds the root, [a s, (a+1) s] with
+    # a = floor(root/s) the floor of the n-th root of target/s^n.
+    h = max(1, isqrt(target.numerator // target.denominator) + 1)
+    while h ** n < target:
+        h *= 2
+    cells = -(-h * INTERVAL_WIDTH.denominator // INTERVAL_WIDTH.numerator)
+    m = (cells - 1).bit_length()
+    x = (target.numerator << (m * n)) // (target.denominator * h ** n)
+    a = _integer_root(x, n) if x else 0
+    return DegreeRoot(root=None, is_integral=False,
+                      interval=(Fraction(a * h, 1 << m),
+                                Fraction((a + 1) * h, 1 << m)))

@@ -11,6 +11,7 @@ data object.
 import argparse
 import datetime
 import json
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -33,13 +34,33 @@ from .prime_density import (empirical_density, factorize,
                             union_inert_density)
 
 
+def _digit_limit_error(what):
+    limit = sys.get_int_max_str_digits()
+    return CapacityError(
+        f"{what} has more than {limit} digits, the limit of "
+        f"sys.get_int_max_str_digits() = {limit}")
+
+
+def _check_digits(text):
+    """Raise CapacityError if the decimal string has a digit run longer than
+    int() converts (sys.get_int_max_str_digits(); 0 means no limit)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(len(run.replace("_", "")) > limit
+                     for run in re.findall(r"[\d_]+", text)):
+        raise _digit_limit_error("an input integer")
+
+
 def _int(x):
     if isinstance(x, bool):
         raise InvalidGramError("expected an integer, got a boolean")
     if isinstance(x, int):
         return x
     if isinstance(x, str):
-        return int(x.strip())
+        try:
+            return int(x.strip())
+        except ValueError:
+            _check_digits(x)
+            raise
     raise InvalidGramError(f"expected an integer or decimal string: {x!r}")
 
 
@@ -49,6 +70,9 @@ def _frac(x):
             return Fraction(x.strip())
         except ZeroDivisionError:
             raise InvalidGramError(f"zero denominator: {x!r}") from None
+        except ValueError:
+            _check_digits(x)
+            raise
     if isinstance(x, int):
         return Fraction(x)
     raise InvalidGramError(f"expected a rational string: {x!r}")
@@ -59,10 +83,13 @@ def _s(x):
     main applies it once to the data object a command returns."""
     if isinstance(x, bool) or x is None:
         return x
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator > 1 else str(x.numerator)
+    try:
+        if isinstance(x, int):
+            return str(x)
+        if isinstance(x, Fraction):
+            return str(x) if x.denominator > 1 else str(x.numerator)
+    except ValueError:  # str() of an integer past the digit limit
+        raise _digit_limit_error("a result integer") from None
     if isinstance(x, (list, tuple)):
         return [_s(v) for v in x]
     if isinstance(x, dict):
@@ -111,6 +138,8 @@ def _read_payload():
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise InvalidGramError(f"malformed JSON: {e}")
+    except ValueError:  # a number literal past int()'s digit limit
+        raise _digit_limit_error("an input integer") from None
 
 
 def _form_to_json(form):
@@ -228,12 +257,12 @@ def cmd_density(args):
         theoretical = Fraction(1, 2)
         label = "fermat-cubic-supersingular"
     elif args.inert is not None:
-        ds = [int(x) for x in args.inert.split(",")]
+        ds = [_int(x) for x in args.inert.split(",")]
         predicate = _inert_in_any(ds)
         theoretical = None
         label = f"inert-in-any:{','.join(map(str, ds))}"
     else:
-        ps = [int(x) for x in args.union.split(",")]
+        ps = [_int(x) for x in args.union.split(",")]
         for q in ps:
             if not is_prime(q):
                 raise InvalidGramError(f"--union entries must be prime: {q}")

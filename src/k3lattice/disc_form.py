@@ -4,7 +4,9 @@ overlattice <-> isotropic-subgroup correspondence.
 The quadratic form on the discriminant group takes values in Q/2Z when the
 ambient lattice is even and in Q/Z otherwise; canonical representatives
 live in [0, 2) resp. [0, 1).  Group elements are integer coordinate tuples
-modulo the invariant factors, each backed by a stored rational lift.
+modulo the invariant factors; q and pair read the k x k table of exact
+generator pairings, and the generators' rational lifts, reduced modulo the
+lattice, serve gluing and the action of isometries.
 """
 
 import itertools
@@ -26,14 +28,16 @@ class FiniteQuadraticForm:
     """The finite quadratic form on a discriminant group.
 
     invariant_factors: d_1 | d_2 | ... (each > 1); the group is the product
-    of Z/d_i.  generators: rational lifts of the cyclic generators, in the
-    coordinates of the ambient lattice basis.  gram: ambient Gram matrix.
-    modulus: 2 for an even ambient lattice, else 1.
+    of Z/d_i.  generators: rational lifts g_i of the cyclic generators, in
+    the coordinates of the ambient lattice basis.  table: the exact
+    pairings b_ij = <g_i, g_j> as Fractions; q and pair depend on a lift
+    only modulo the lattice, so they read the table alone.  modulus: 2 for
+    an even ambient lattice, else 1.
     """
 
     invariant_factors: tuple
     generators: tuple
-    gram: tuple
+    table: tuple
     modulus: int
 
     @property
@@ -50,12 +54,7 @@ class FiniteQuadraticForm:
     @property
     def q_values(self):
         """q of each invariant-factor generator, canonical in [0, modulus)."""
-        return tuple(self.q(e) for e in self._generator_elements())
-
-    def _generator_elements(self):
-        k = len(self.invariant_factors)
-        for i in range(k):
-            yield tuple(1 if j == i else 0 for j in range(k))
+        return tuple(row[i] % self.modulus for i, row in enumerate(self.table))
 
     def reduce(self, x):
         if len(x) != len(self.invariant_factors):
@@ -66,27 +65,21 @@ class FiniteQuadraticForm:
 
     def lift(self, x):
         """A representative of x in the dual lattice, as a rational vector
-        in ambient coordinates."""
+        in ambient coordinates (the empty tuple for a trivial form)."""
         x = self.reduce(x)
-        n = len(self.gram)
-        out = [Fraction(0)] * n
-        for a, g in zip(x, self.generators):
-            for i in range(n):
-                out[i] += a * g[i]
-        return tuple(out)
+        return tuple(sum(a * c for a, c in zip(x, coords))
+                     for coords in zip(*self.generators))
 
     def q(self, x):
         """Quadratic value of the group element x, reduced to [0, modulus)."""
-        v = self.lift(x)
-        val = la.vec_mat_vec(v, self.gram, v)
-        return Fraction(val) % self.modulus
+        x = self.reduce(x)
+        return Fraction(la.vec_mat_vec(x, self.table, x)) % self.modulus
 
     def pair(self, x, y):
         """q(x+y) - q(x) - q(y), reduced to [0, modulus).  This is twice the
         lift pairing and obeys q(x + y) = q(x) + q(y) + pair(x, y)."""
-        vx = self.lift(x)
-        vy = self.lift(y)
-        return (2 * Fraction(la.vec_mat_vec(vx, self.gram, vy))) % self.modulus
+        val = la.vec_mat_vec(self.reduce(x), self.table, self.reduce(y))
+        return (2 * Fraction(val)) % self.modulus
 
     def add(self, x, y):
         return tuple((a + b) % d for a, b, d in
@@ -116,29 +109,31 @@ class IsotropicSubgroup:
 
 
 def discriminant_group(lat):
-    """The discriminant group of a lattice with its quadratic form."""
+    """The discriminant group of a lattice with its quadratic form.
+
+    The SNF generator t_i/d_i is taken as (t_i mod d_i)/d_i: the two differ
+    by a lattice vector, which changes neither the element nor q.
+    """
     d, _, t = la.smith_normal_form(lat.gram)
-    n = lat.rank
-    factors = []
-    gens = []
-    for i in range(n):
-        di = d[i][i]
-        if di > 1:
-            factors.append(di)
-            gens.append(tuple(Fraction(t[r][i], di) for r in range(n)))
+    keep = [i for i in range(lat.rank) if d[i][i] > 1]
+    factors = tuple(d[i][i] for i in keep)
+    cols = [[row[i] % d[i][i] for i in keep] for row in t]
+    table = la.congruence(cols, lat.gram)
     return FiniteQuadraticForm(
-        invariant_factors=tuple(factors),
-        generators=tuple(gens),
-        gram=lat.gram,
+        invariant_factors=factors,
+        generators=tuple(tuple(Fraction(row[j], dj) for row in cols)
+                         for j, dj in enumerate(factors)),
+        table=tuple(tuple(Fraction(b, di * dj)
+                          for b, dj in zip(row, factors))
+                    for row, di in zip(table, factors)),
         modulus=2 if is_even(lat) else 1,
     )
 
 
 def disc_local_part(form, ell):
     """The ell-primary component, with the restricted quadratic form."""
-    factors = []
-    gens = []
-    for d, g in zip(form.invariant_factors, form.generators):
+    parts = []
+    for i, d in enumerate(form.invariant_factors):
         e = 1
         while d % ell == 0:
             d //= ell
@@ -146,29 +141,26 @@ def disc_local_part(form, ell):
         if e > 1:
             # d is now the prime-to-ell cofactor; d*g generates the
             # ell-primary part of this cyclic factor.
-            factors.append(e)
-            gens.append(tuple(d * x for x in g))
+            parts.append((i, e, d))
     return FiniteQuadraticForm(
-        invariant_factors=tuple(factors),
-        generators=tuple(gens),
-        gram=form.gram,
+        invariant_factors=tuple(e for _, e, _ in parts),
+        generators=tuple(tuple(c * x for x in form.generators[i])
+                         for i, _, c in parts),
+        table=tuple(tuple(ci * cj * form.table[i][j] for j, _, cj in parts)
+                    for i, _, ci in parts),
         modulus=form.modulus,
     )
 
 
-def _generated_subgroup(form, gens):
-    seen = {form.reduce((0,) * len(form.invariant_factors))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = form.add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
+def _join(form, h, x):
+    """The subgroup generated by the subgroup h and the element x: the
+    union of the cosets h + kx, for k up to the first kx that lies in h."""
+    out = set(h)
+    step = x
+    while step not in h:
+        out.update(form.add(y, step) for y in h)
+        step = form.add(step, x)
+    return frozenset(out)
 
 
 def isotropic_subgroups(form):
@@ -193,13 +185,10 @@ def isotropic_subgroups(form):
             for x in isotropic:
                 if x in h:
                     continue
-                extended = _generated_subgroup(form, list(h) + [x])
-                if not extended <= iso_set:
-                    continue
-                fs = frozenset(extended)
-                if fs not in found:
-                    found.add(fs)
-                    nxt.append(fs)
+                extended = _join(form, h, x)
+                if extended <= iso_set and extended not in found:
+                    found.add(extended)
+                    nxt.append(extended)
         frontier = nxt
     out = [IsotropicSubgroup(form, tuple(sorted(h))) for h in found]
     out.sort(key=lambda s: (s.order, s.elements))
@@ -214,7 +203,7 @@ def overlattice_basis(lat, sub):
     for x in sub.elements:
         if form.q(x) != 0:
             raise StructureError("subgroup is not isotropic")
-    lifts = [form.lift(x) for x in sub.elements]
+    lifts = [form.lift(x) for x in sub.elements if any(x)]
     denom = 1
     for v in lifts:
         for x in v:
@@ -256,10 +245,10 @@ def acts_trivially_on_disc(lat, g, m):
     m = int(m)
     if m < 1:
         raise DomainError("m must be positive")
-    ginv = la.rational_inverse(lat.gram)
-    if any((m * x).denominator != 1 for row in ginv for x in row):
-        raise DomainError("m does not satisfy m * dual <= lattice")
     form = discriminant_group(lat)
+    # m * L^v <= L exactly when the exponent of L^v / L divides m
+    if form.invariant_factors and m % form.invariant_factors[-1]:
+        raise DomainError("m does not satisfy m * dual <= lattice")
     for gen in form.generators:
         moved = la.mat_vec(g, list(gen))
         if any((a - b).denominator != 1 for a, b in zip(moved, gen)):
@@ -292,34 +281,33 @@ def forms_isomorphic(f1, f2):
 
     factors = f1.invariant_factors
     k = len(factors)
-    gens1 = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
-    q1 = [f1.q(g) for g in gens1]
-    pair1 = [[f1.pair(gens1[i], gens1[j]) for j in range(k)] for i in range(k)]
+    q1 = f1.q_values
     all2 = list(f2.elements())
 
     def combine(x, images):
         return tuple(sum(a * img[j] for a, img in zip(x, images)) % d
                      for j, d in enumerate(factors))
 
-    def extend(images):
+    def extend(images, span):
+        # span is the subgroup of f2 generated by images
         i = len(images)
         if i == k:
             return all(f2.q(combine(x, images)) == f1.q(x)
                        for x in f1.elements())
-        expected = 1
-        for j in range(i + 1):
-            expected *= factors[j]
+        expected = len(span) * factors[i]
         for y in all2:
             if factors[i] % f2.element_order(y) != 0:
                 continue
             if f2.q(y) != q1[i]:
                 continue
-            if any(f2.pair(images[j], y) != pair1[j][i] for j in range(i)):
+            if any(f2.pair(images[j], y) != (2 * f1.table[j][i]) % f1.modulus
+                   for j in range(i)):
                 continue
-            if len(_generated_subgroup(f2, list(images) + [y])) != expected:
+            joined = _join(f2, span, y)
+            if len(joined) != expected:
                 continue
-            if extend(images + [y]):
+            if extend(images + [y], joined):
                 return True
         return False
 
-    return extend([])
+    return extend([], {(0,) * k})

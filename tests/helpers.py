@@ -222,3 +222,54 @@ def isometry_with_gram_instance(rng, rank=5):
         gram = conjugate_gram(g0, u)
         iso = la.mat_mul(uinv, la.mat_mul(swap, u))
         return gram, iso
+
+
+
+def brute_isotropic_subgroups(form):
+    """Sorted element tuples of every subgroup on which q vanishes, ordered
+    by (order, elements).
+
+    A group with k invariant factors has every subgroup generated by at most
+    k elements, and an isotropic subgroup by isotropic ones.  So this takes
+    the spans of 0, 1, ..., k isotropic elements, a new generator x adding
+    the multiples a*x to every element, and keeps the spans where q is zero
+    (a span where it is not is dropped at once: so is every larger one).
+    """
+    factors = form.invariant_factors
+    isotropic = [x for x in form.elements() if form.q(x) == 0]
+    frontier = {frozenset([(0,) * len(factors)])}
+    seen = set(frontier)
+    spans = set(frontier)
+    for _ in range(len(factors)):
+        nxt = set()
+        for h in frontier:
+            for x in isotropic:
+                span = frozenset(
+                    tuple((yi + a * xi) % d for yi, xi, d in zip(y, x, factors))
+                    for y in h for a in range(max(factors)))
+                if span in seen:
+                    continue
+                seen.add(span)
+                if all(form.q(y) == 0 for y in span):
+                    nxt.add(span)
+        spans |= nxt
+        frontier = nxt
+    return sorted((tuple(sorted(h)) for h in spans),
+                  key=lambda els: (len(els), els))
+
+
+def bisection_interval(target, n, width):
+    """The interval around the positive root of x^n = target that bisection
+    of [0, h] returns once it is at most ``width`` wide, where h is
+    isqrt(floor(target)) + 1 (at least 1), doubled until h^n >= target."""
+    lo = Fraction(0)
+    hi = Fraction(max(1, isqrt(target.numerator // target.denominator) + 1))
+    while hi ** n < target:
+        hi *= 2
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if mid ** n < target:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from helpers import pair_value, perm_symmetrized_power
-from k3lattice import (DomainError, InconsistencyError, degree_to_bb,
-                       perfect_matchings, recover_form, symmetrized_power)
+from helpers import (bisection_interval, pair_value,
+                     perm_symmetrized_power)
+from k3lattice import (CapacityError, DomainError, InconsistencyError,
+                       degree_to_bb, perfect_matchings, recover_form,
+                       symmetrized_power)
+from k3lattice.bb_form import INTERVAL_WIDTH, MAX_DEGREE_N, MAX_POWER_N
 
 
 def _random_form(rng, r, denom=2):
@@ -163,13 +166,28 @@ def test_recover_form_rejects_inconsistent_samples():
                      2, xi, Fraction(4), basis)
 
 
-def test_recover_form_full_check_mode():
+def test_power_n_bound():
     g = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(-2)]]
-    xi = [Fraction(1), Fraction(0)]
+    n = MAX_POWER_N
+    a = [Fraction(1), Fraction(1)]
+    assert symmetrized_power(g, n, [a] * (2 * n)) == \
+        perfect_matchings(n) * pair_value(g, a, a) ** n
+    with pytest.raises(CapacityError, match=f"MAX_POWER_N = {n}"):
+        symmetrized_power(g, n + 1, [a] * (2 * n + 2))
+
+    def w(args):
+        raise AssertionError("w called past the n bound")
+
     basis = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    rec = recover_form(lambda args: symmetrized_power(g, 2, args),
-                       2, xi, Fraction(2), basis, check="full")
-    assert [list(row) for row in rec] == g
+    with pytest.raises(CapacityError, match=f"MAX_POWER_N = {n}"):
+        recover_form(w, n + 1, a, Fraction(2), basis)
+
+
+def test_degree_n_bound():
+    n = MAX_DEGREE_N
+    assert degree_to_bb(perfect_matchings(n) * 3 ** n, n).root == 3
+    with pytest.raises(CapacityError, match=f"MAX_DEGREE_N = {n}"):
+        degree_to_bb(10, n + 1)
 
 
 def test_symmetrized_power_form_wrapper():
@@ -221,6 +239,35 @@ def test_degree_to_bb_roundtrip():
                 assert res.root is None and not res.is_integral
                 lo, hi = res.interval
                 assert lo ** n < target < hi ** n
+
+
+def test_degree_to_bb_interval_is_the_bisection_interval():
+    rng = random.Random(41)
+    seen = 0
+    # roots below the interval width, then random degrees
+    cases = [(Fraction(1, 10 ** 30), 2), (Fraction(2, 10 ** 40), 5)]
+    for _ in range(300):
+        cases.append((Fraction(rng.randint(1, 10 ** rng.randint(0, 60)),
+                               rng.choice([1, rng.randint(1, 10 ** 6)])),
+                      rng.choice([2, 3, 4, 5, 7, 12])))
+    for d, n in cases:
+        res = degree_to_bb(d, n)
+        if res.root is None:
+            seen += 1
+            target = d / perfect_matchings(n)
+            assert res.interval == bisection_interval(target, n,
+                                                      INTERVAL_WIDTH)
+    assert seen > 200
+
+
+def test_degree_to_bb_large_degree_at_the_n_bound():
+    # a 4300-digit degree at n = MAX_DEGREE_N; bisection from [0, h] would
+    # take 2400 halvings here, each raising a 2400-bit fraction to the n
+    d = 10 ** 4299 + 1
+    lo, hi = degree_to_bb(d, MAX_DEGREE_N).interval
+    target = Fraction(d, perfect_matchings(MAX_DEGREE_N))
+    assert lo ** MAX_DEGREE_N < target < hi ** MAX_DEGREE_N
+    assert 0 < hi - lo <= INTERVAL_WIDTH
 
 
 def test_degree_to_bb_irrational():

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,32 @@ def test_disc_order_beyond_factoring_budget_exits_3(capsys, monkeypatch):
                              {"gram": [[str(p), "0"], ["0", str(q)]]})
     assert code == 3 and out == ""
     assert "Pollard-Brent steps exhausted on a 160-bit cofactor" in err
+
+
+BIG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (["disc"], '{"gram": [[%s]]}' % BIG),
+    (["bb-recover"], {"n": 1, "xi": ["1/" + BIG], "q": [["1"]]}),
+    (["bb-recover"], {"n": 1, "xi": ["1_" + BIG], "q": [["1"]]}),
+    (["density", "--inert", "3," + BIG, "--bound", "1000"], None),
+], ids=["json-number", "fraction-denominator", "underscored", "flag"])
+def test_input_past_digit_limit_exits_3(capsys, monkeypatch, argv, payload):
+    code, out, err = run_cli(capsys, monkeypatch, argv, payload)
+    limit = sys.get_int_max_str_digits()
+    assert (code, out) == (3, "")
+    assert err == (f"error: an input integer has more than {limit} digits, "
+                   f"the limit of sys.get_int_max_str_digits() = {limit}\n")
+
+
+def test_inputs_within_digit_limit_parse(capsys, monkeypatch):
+    # digit runs are limited one at a time, as int() limits them
+    half = "1" * 3000
+    code, out, _ = run_cli(capsys, monkeypatch, ["bb-recover"],
+                           {"n": 1, "xi": [f"{half}.{half}"], "q": [["1"]]})
+    assert code == 0
+    assert json.loads(out)["q"] == [["1"]]
 
 
 def test_jordan(capsys, monkeypatch):

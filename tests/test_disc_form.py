@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 import k3lattice._intlinalg as la
-from helpers import (congruence_isometry_instance, conjugate_gram,
-                     random_even_gram, random_unimodular)
+from helpers import (brute_isotropic_subgroups, congruence_isometry_instance,
+                     conjugate_gram, random_even_gram, random_unimodular)
 from k3lattice import (CapacityError, DomainError, QuadLattice,
                        StructureError, acts_trivially_on_disc, direct_sum,
                        disc_local_part, discriminant_group,
@@ -246,3 +246,103 @@ def test_forms_not_isomorphic():
     d_minus = discriminant_group(make_rank1(-2))
     assert not forms_isomorphic(d_plus, d_minus)
     assert forms_isomorphic(d_plus, d_plus)
+
+
+def _small_forms(rng, count, max_order=64):
+    """(lattice, form) pairs for random even and odd Grams of rank <= 4,
+    with the local parts of each form; the odd ones carry an odd rank-1
+    summand before the change of basis."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            g = random_even_gram(rng, n)
+        else:
+            g = [[0] * n for _ in range(n)]
+            g[0][0] = 2 * rng.randint(-3, 3) + 1
+            if n > 1:
+                rest = random_even_gram(rng, n - 1)
+                for i in range(n - 1):
+                    for j in range(n - 1):
+                        g[1 + i][1 + j] = rest[i][j]
+            g = conjugate_gram(g, random_unimodular(n, rng, steps=6, size=1))
+        lat = QuadLattice(g)
+        form = discriminant_group(lat)
+        if form.order > max_order:
+            continue
+        out.append((lat, form))
+        out.extend((lat, disc_local_part(form, ell))
+                   for ell in (2, 3, 5, 7) if form.order % ell == 0)
+    return out
+
+
+def test_table_values_match_ambient_evaluation():
+    # q and pair read the k x k table; the oracle evaluates the lifts with
+    # the ambient Gram instead
+    rng = random.Random(83)
+    forms = _small_forms(rng, 40)
+    assert any(f.modulus == 1 for _, f in forms)
+    assert any(f.modulus == 2 for _, f in forms)
+    for lat, form in forms:
+        elements = list(form.elements())
+        lifts = {x: form.lift(x) for x in elements}
+        for x in elements:
+            amb = la.vec_mat_vec(lifts[x], lat.gram, lifts[x])
+            assert form.q(x) == Fraction(amb) % form.modulus
+            for y in elements:
+                amb = la.vec_mat_vec(lifts[x], lat.gram, lifts[y])
+                assert form.pair(x, y) == (2 * Fraction(amb)) % form.modulus
+
+
+def test_table_is_exact_generator_pairing():
+    rng = random.Random(89)
+    for lat, form in _small_forms(rng, 40, max_order=10 ** 6):
+        k = len(form.invariant_factors)
+        assert len(form.table) == k
+        for i, gi in enumerate(form.generators):
+            for j, gj in enumerate(form.generators):
+                assert form.table[i][j] == la.vec_mat_vec(gi, lat.gram, gj)
+
+
+def test_disc_generators_are_reduced():
+    # each SNF lift t_i/d_i is stored as (t_i mod d_i)/d_i
+    rng = random.Random(97)
+    for _ in range(30):
+        g = random_even_gram(rng, rng.randint(1, 4), spread=6)
+        form = discriminant_group(QuadLattice(g))
+        for d, lift in zip(form.invariant_factors, form.generators):
+            assert all(0 <= d * x < d for x in lift)
+
+
+def test_isotropic_subgroups_match_brute_force():
+    rng = random.Random(101)
+    forms = [f for _, f in _small_forms(rng, 25)]
+    u2 = QuadLattice(((0, 2), (2, 0)))
+    u2_cubed = discriminant_group(direct_sum(direct_sum(u2, u2), u2))
+    assert u2_cubed.order == 64
+    forms.append(u2_cubed)
+    for form in forms:
+        subs = isotropic_subgroups(form)
+        assert [s.elements for s in subs] == brute_isotropic_subgroups(form)
+    assert len(isotropic_subgroups(u2_cubed)) == 171
+
+
+def test_acts_trivially_m_matches_dual_criterion():
+    # m * L^v <= L read from the exponent of the discriminant group agrees
+    # with the rational-inverse criterion
+    rng = random.Random(103)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        g = random_even_gram(rng, n)
+        lat = QuadLattice(g)
+        ginv = la.rational_inverse(g)
+        form = discriminant_group(lat)
+        exponent = form.invariant_factors[-1] if not form.is_trivial else 1
+        identity = la.identity(n)
+        for m in range(1, 2 * exponent + 1):
+            kills = all((m * x).denominator == 1 for row in ginv for x in row)
+            if kills:
+                assert acts_trivially_on_disc(lat, identity, m)
+            else:
+                with pytest.raises(DomainError, match="m does not satisfy"):
+                    acts_trivially_on_disc(lat, identity, m)
