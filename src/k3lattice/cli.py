@@ -15,6 +15,8 @@ import re
 import sys
 import warnings
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 from . import __version__
 from . import _intlinalg as la
@@ -210,21 +212,15 @@ def cmd_bb_recover(args):
         xi_norm = _frac(payload["xi_norm"])
 
         def w(vecs):
+            # only index tuples inside every vector's support contribute
             total = Fraction(0)
-            from itertools import product
-            for combo in product(range(r), repeat=len(vecs)):
-                coef = Fraction(1)
-                for v, i in zip(vecs, combo):
-                    coef *= v[i]
-                    if coef == 0:
-                        break
-                if coef == 0:
-                    continue
+            supports = [[i for i, x in enumerate(v) if x] for v in vecs]
+            for combo in product(*supports):
                 key = tuple(sorted(combo))
                 if key not in values:
                     raise InvalidGramError(
                         f"missing sample for basis multiset {key}")
-                total += coef * values[key]
+                total += prod(v[i] for v, i in zip(vecs, combo)) * values[key]
             return total
     else:
         raise InvalidGramError("payload needs 'degree', 'q' or "

@@ -1,14 +1,21 @@
 """p-adic invariants of quadratic lattices.
 
-The workhorse is an exact block diagonalization over the local ring of
-p-integral rationals: every transformation matrix has p-unit determinant
-and p-integral entries, so the result is a valid Jordan-type splitting over
-the p-adic integers while all arithmetic stays exact.
+Two symmetric eliminations split a lattice into p^k-scaled unimodular
+blocks over the p-adic integers:
+
+* Odd-p Jordan data (scale, rank and Legendre class per scale) come from an
+  elimination over the integers mod p^(v+1), v = v_p(det), that keeps no
+  basis; every scale is at most v, so that precision is exact.
+* The Artin invariant's witness bases come from an exact block
+  diagonalization over the local ring of p-integral rationals: every
+  transformation matrix has p-unit determinant and p-integral entries, so
+  the witnesses are exact rational vectors.
 """
 
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import _intlinalg as la
 from .disc_form import disc_local_part, discriminant_group, forms_isomorphic
@@ -34,19 +41,9 @@ def _val(x, p):
     return v
 
 
-def _unit_mod_p(x, p):
-    """The mod-p residue of x / p^v(x) for a p-integral-unit-part rational."""
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-    while den % p == 0:
-        den //= p
-    return num * pow(den, -1, p) % p
-
-
 def _block_split(gram, p):
     """Split a lattice over the p-adic integers into p^k-scaled unimodular
-    blocks.
+    blocks, exactly; it serves only artin_invariant's witness bases.
 
     Returns a list of (scale, block, basis) where block is a 1x1 or 2x2
     Fraction matrix equal to p^scale times a p-unimodular matrix and basis
@@ -119,6 +116,46 @@ def _block_split(gram, p):
     return blocks
 
 
+def _jordan_mod(gram, p, vdet):
+    """Odd-p Jordan data ((scale, rank, det_class), ...) sorted by scale of a
+    nondegenerate Gram with vdet = v_p(det), by symmetric elimination over
+    the integers mod p^K, K = vdet + 1.
+
+    Every scale is at most vdet, so each pivot d of minimal valuation v is
+    nonzero mod p^K and its unit part is exact mod p.  The factor
+    (a_tk / p^v) (d / p^v)^-1 is known mod p^(K - v), and every entry of the
+    pivot row has valuation at least v, so each update is exact mod p^K.
+    """
+    mod = p ** (vdet + 1)
+    a = [[x % mod for x in row] for row in gram]
+    scales = {}
+    while a:
+        pv = gcd(mod, *(x for row in a for x in row))
+        assert pv != mod, "nondegenerate lattice ran out of pivots"
+        high = pv * p
+        k = next((t for t in range(len(a)) if a[t][t] % high), None)
+        if k is None:
+            # the first such entry has i < j, and for odd p
+            # a[i][i] + 2 a[i][j] + a[j][j] has valuation exactly v
+            k, j = next((i, j) for i, row in enumerate(a)
+                        for j, x in enumerate(row) if x % high)
+            a[k] = [(x + y) % mod for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] = (row[k] + row[j]) % mod
+        pivot = a.pop(k)
+        unit = pivot.pop(k) // pv
+        w = pow(unit, -1, mod)
+        for row in a:
+            f = row.pop(k) // pv * w % mod
+            if f:
+                row[:] = [(x - f * y) % mod for x, y in zip(row, pivot)]
+        v = _val(pv, p)
+        rank, prod = scales.get(v, (0, 1))
+        scales[v] = (rank + 1, prod * unit % p)
+    return tuple((v, rank, kronecker_symbol(prod, p))
+                 for v, (rank, prod) in sorted(scales.items()))
+
+
 @dataclass(frozen=True)
 class JordanDecomposition:
     """Odd-p local invariants: per scale, the rank and the Legendre class
@@ -138,23 +175,17 @@ class JordanDecomposition:
 def jordan_decomposition(lat, p):
     """Jordan decomposition of a lattice at an odd prime.
 
-    The arithmetic is exact over p-integral rationals, so no working
-    precision is needed.
+    The elimination runs mod p^(v_p(det) + 1), which is exact for the
+    Jordan data, so no working precision is needed.
     """
     if p == 2:
         raise DomainError("p = 2 is not supported by the odd-p theory")
     if not is_prime(p):
         raise DomainError(f"{p} is not an odd prime")
-    scales = {}
-    for v, block, _ in _block_split(lat.gram, p):
-        assert len(block) == 1
-        rank, unit = scales.get(v, (0, 1))
-        scales[v] = (rank + 1, unit * _unit_mod_p(block[0][0], p) % p)
-    blocks = tuple((v, rank, kronecker_symbol(unit, p))
-                   for v, (rank, unit) in sorted(scales.items()))
-    out = JordanDecomposition(prime=p, blocks=blocks)
+    vdet = _val(lat.det, p)
+    out = JordanDecomposition(prime=p, blocks=_jordan_mod(lat.gram, p, vdet))
     assert out.rank == lat.rank
-    assert out.det_valuation() == _val(lat.det, p)
+    assert out.det_valuation() == vdet
     return out
 
 
@@ -281,12 +312,13 @@ def artin_invariant(lat, p):
     sigma = rank1 // 2
 
     def assemble(vecs, divide):
-        g = [[None] * len(vecs) for _ in range(len(vecs))]
-        for i, x in enumerate(vecs):
-            for j, y in enumerate(vecs):
-                val = la.vec_mat_vec(x, lat.gram, y)
-                g[i][j] = Fraction(val) / divide
-        return tuple(vecs), tuple(tuple(row) for row in g)
+        # one congruence on the integer columns D * vecs
+        den = lcm(*(x.denominator for vec in vecs for x in vec))
+        cols = la.transpose([[int(x * den) for x in vec] for vec in vecs])
+        scale = den * den * divide
+        g = la.congruence(cols, lat.gram)
+        return tuple(vecs), tuple(tuple(Fraction(x, scale) for x in row)
+                                  for row in g)
 
     t1_basis, t1_gram = assemble(groups[0], 1)
     t0_basis, t0_gram = assemble(groups[1], p)

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,18 @@ def test_bb_recover_w_basis_values_must_be_object(capsys, monkeypatch,
                              w_doc(values))
     assert (code, out, err) == (
         2, "", "error: w_basis_values must be a JSON object\n")
+
+
+def test_bb_recover_w_samples_read_only_supports(capsys, monkeypatch):
+    # 6^10 index tuples over the basis; w reads only those inside the
+    # supports of its arguments, so the first missing sample shows at once
+    payload = {"n": 5, "xi": ["0"] * 5 + ["1"], "xi_norm": "2",
+               "w_basis_values": {}}
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, monkeypatch, ["bb-recover"], payload)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert "missing sample" in err
 
 
 def test_bb_recover_isotropic_xi_is_exit_4(capsys, monkeypatch):

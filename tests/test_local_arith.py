@@ -2,8 +2,12 @@ import random
 import time
 import warnings
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import k3lattice._intlinalg as la
 from helpers import (conjugate_gram, pointed_isometry_search,
@@ -13,7 +17,7 @@ from k3lattice import (DomainError, QuadLattice, StructureError,
                        direct_sum, is_selfdual_at_p, jordan_decomposition,
                        k3n_lattice, make_E8, make_rank1, make_U,
                        pointed_equivalent_at_p, pointed_invariants)
-from k3lattice.local_arith import _block_split, _val
+from k3lattice.local_arith import _block_split, _jordan_mod, _val
 
 
 def test_jordan_examples():
@@ -254,3 +258,109 @@ def test_block_split_is_congruence():
                             if start <= j < start + r else 0
                         assert full[start + i][j] == expect
                 assert _val(_fraction_det(block), p) == scale * r
+
+
+# property tests stay deterministic so that tier-1 runs are reproducible
+ORACLE = settings(derandomize=True, deadline=None, database=None,
+                  max_examples=150)
+
+
+def block_split_jordan_data(gram, p):
+    """Jordan data read off the exact rational splitting: per scale, the
+    rank and the Legendre class of the product of the blocks' unit parts."""
+    scales = {}
+    for v, block, _ in _block_split(gram, p):
+        x = block[0][0]
+        num, den = x.numerator, x.denominator
+        while num % p == 0:
+            num //= p
+        while den % p == 0:
+            den //= p
+        rank, unit = scales.get(v, (0, 1))
+        scales[v] = (rank + 1, unit * num * pow(den, -1, p) % p)
+    return tuple((v, rank, sympy.legendre_symbol(unit, p))
+                 for v, (rank, unit) in sorted(scales.items()))
+
+
+def jordan_mod(gram, p):
+    return _jordan_mod(gram, p, _val(la.det(gram), p))
+
+
+def skewed(gram, rng, target):
+    """gram under random unimodular conjugations, at least one and then
+    more until an entry reaches target in absolute value."""
+    gram = conjugate_gram(gram, random_unimodular(len(gram), rng))
+    while max(abs(x) for row in gram for x in row) < target:
+        gram = conjugate_gram(gram, random_unimodular(len(gram), rng))
+    return gram
+
+
+def block_diagonal(blocks):
+    return reduce(direct_sum, map(QuadLattice, blocks)).gram
+
+
+@st.composite
+def local_grams(draw):
+    """(p, gram): a nondegenerate symmetric Gram of rank <= 8 whose entries
+    are small multiples of p^0 .. p^3."""
+    p = draw(st.sampled_from((3, 5, 7, 11)))
+    n = draw(st.integers(1, 8))
+    entry = st.builds(lambda c, k: c * p ** k,
+                      st.integers(-12, 12), st.integers(0, 3))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(entry)
+    assume(la.det(g) != 0)
+    return p, g
+
+
+@ORACLE
+@given(local_grams())
+def test_jordan_mod_matches_block_split(case):
+    p, g = case
+    assert jordan_mod(g, p) == block_split_jordan_data(g, p)
+
+
+@ORACLE
+@given(st.sampled_from((3, 5, 7, 11)),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(1, 10 ** 6)),
+                max_size=5),
+       st.integers(0, 3), st.integers(0, 2 ** 32))
+def test_jordan_mod_known_answers(p, diagonal, k, seed):
+    # sum of p^(k_i) <u_i> and p^k U: the scales, ranks and Legendre classes
+    # are read off the construction, and the skew takes entries past p^K
+    units = [(ki, u if u % p else u + 1) for ki, u in diagonal]
+    blocks = [[[p ** ki * u]] for ki, u in units]
+    blocks.append([[0, p ** k], [p ** k, 0]])
+    expect = {k: (2, sympy.legendre_symbol(p - 1, p))}
+    for ki, u in units:
+        rank, cls = expect.get(ki, (0, 1))
+        expect[ki] = (rank + 1, cls * sympy.legendre_symbol(u % p, p))
+    vdet = 2 * k + sum(ki for ki, _ in units)
+    g = skewed(block_diagonal(blocks), random.Random(seed),
+               p ** (vdet + 2))
+    assert jordan_mod(g, p) == tuple(
+        (v, rank, cls) for v, (rank, cls) in sorted(expect.items()))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 1000003])
+def test_jordan_mod_edge_cases(p):
+    rng = random.Random(p)
+    minus_one = sympy.legendre_symbol(p - 1, p)
+    # a block at scale exactly v_p(det), which is the top of the precision
+    assert jordan_mod([[1, 0], [0, p ** 5]], p) == ((0, 1, 1), (5, 1, 1))
+    assert jordan_mod(skewed([[1, 0], [0, p ** 5]], rng, p ** 7), p) == \
+        ((0, 1, 1), (5, 1, 1))
+    # every diagonal valuation exceeds the minimum, at both scales, so each
+    # first pivot needs the b_i += b_j step
+    g = block_diagonal([[[p, 1], [1, p]], [[p * p, p], [p, p * p]]])
+    assert all(g[i][i] % p == 0 for i in range(4))
+    assert jordan_mod(g, p) == ((0, 2, minus_one), (1, 2, minus_one))
+    # a p^2-scaled block next to unimodular and p-scaled ones
+    g = block_diagonal([[[0, 1], [1, 0]], [[2]], [[-p]],
+                        [[2 * p * p, 0], [0, -p * p]]])
+    expect = ((0, 3, minus_one * sympy.legendre_symbol(2, p)),
+              (1, 1, minus_one),
+              (2, 2, sympy.legendre_symbol(-2 % p, p)))
+    assert jordan_mod(skewed(g, rng, p ** 6), p) == expect
