@@ -68,20 +68,15 @@ def det(a):
 
 
 def smith_normal_form(a):
-    """Smith normal form with transforms.
+    """Smith normal form with its column transform.
 
-    Returns (d, s, t) where s*a*t = d, s and t are unimodular and d is
-    diagonal with d[0][0] | d[1][1] | ... >= 0.
+    Returns (d, t) where s*a*t = d for some unimodular s (not built), t is
+    unimodular and d is diagonal with d[0][0] | d[1][1] | ... >= 0.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(row) for row in a]
-    s = identity(m)
     t = identity(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        s[i], s[j] = s[j], s[i]
 
     def swap_cols(i, j):
         for row in d:
@@ -91,7 +86,6 @@ def smith_normal_form(a):
 
     def add_row(i, j, c):
         d[i] = [x + c * y for x, y in zip(d[i], d[j])]
-        s[i] = [x + c * y for x, y in zip(s[i], s[j])]
 
     def add_col(i, j, c):
         for row in d:
@@ -107,7 +101,7 @@ def smith_normal_form(a):
                     q = d[i][k] // d[k][k]
                     add_row(i, k, -q)
                     if d[i][k] != 0:
-                        swap_rows(i, k)
+                        d[i], d[k] = d[k], d[i]
                         break
             else:
                 for j in range(k + 1, n):
@@ -132,7 +126,7 @@ def smith_normal_form(a):
                     piv = (i, j)
         if piv is None:
             break
-        swap_rows(k, piv[0])
+        d[k], d[piv[0]] = d[piv[0]], d[k]
         swap_cols(k, piv[1])
         while True:
             clear_pivot(k)
@@ -149,9 +143,8 @@ def smith_normal_form(a):
             add_row(k, bad, 1)
         if d[k][k] < 0:
             d[k] = [-x for x in d[k]]
-            s[k] = [-x for x in s[k]]
         k += 1
-    return d, s, t
+    return d, t
 
 
 def integer_kernel(a):
@@ -162,7 +155,7 @@ def integer_kernel(a):
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    d, _, t = smith_normal_form(a)
+    d, t = smith_normal_form(a)
     rank = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
     return [[t[i][j] for i in range(n)] for j in range(rank, n)]
 

@@ -15,6 +15,7 @@ import re
 import sys
 import warnings
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import prod
 
@@ -34,6 +35,11 @@ from .moduli_arith import (MukaiVector, is_supersingular_newton,
 from .prime_density import (empirical_density, factorize,
                             field_discriminant, is_prime, kronecker_symbol,
                             union_inert_density)
+
+# Index tuples one bb-recover request may walk through w_basis_values, summed
+# over its w calls: a call on vectors with supports S_1..S_2n walks
+# |S_1| * ... * |S_2n| tuples.
+W_TUPLE_BUDGET = 30_000
 
 
 def _digit_limit_error(what):
@@ -114,14 +120,7 @@ def _load_gram(obj):
         if not isinstance(row, list):
             raise InvalidGramError("gram must be a 2-D array")
         rows.append([_int(x) for x in row])
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InvalidGramError("gram must be square")
-    for i in range(n):
-        for j in range(i):
-            if rows[i][j] != rows[j][i]:
-                raise InvalidGramError("gram must be symmetric")
-    return rows
+    return rows  # QuadLattice checks that it is square and symmetric
 
 
 def _load_doc(payload):
@@ -151,8 +150,8 @@ def _form_to_json(form):
     }
 
 
-def cmd_disc(args):
-    lat = _load_doc(_read_payload())
+def cmd_disc(payload):
+    lat = _load_doc(payload)
     form = discriminant_group(lat)
     local = {str(ell): _form_to_json(disc_local_part(form, ell))
              for ell, _ in factorize(form.order)}
@@ -186,8 +185,7 @@ def _load_w_values(obj, n, r):
     return values
 
 
-def cmd_bb_recover(args):
-    payload = _read_payload()
+def cmd_bb_recover(payload):
     if "degree" in payload:
         n = _int(payload["n"])
         res = degree_to_bb(_int(payload["degree"]), n)
@@ -210,11 +208,18 @@ def cmd_bb_recover(args):
         r = len(xi)
         values = _load_w_values(payload["w_basis_values"], n, r)
         xi_norm = _frac(payload["xi_norm"])
+        walked = 0
 
         def w(vecs):
+            nonlocal walked
             # only index tuples inside every vector's support contribute
-            total = Fraction(0)
             supports = [[i for i, x in enumerate(v) if x] for v in vecs]
+            walked += prod(map(len, supports))
+            if walked > W_TUPLE_BUDGET:
+                raise CapacityError(
+                    f"bb-recover needs more than W_TUPLE_BUDGET = "
+                    f"{W_TUPLE_BUDGET} w_basis_values index tuples")
+            total = Fraction(0)
             for combo in product(*supports):
                 key = tuple(sorted(combo))
                 if key not in values:
@@ -276,8 +281,7 @@ def cmd_density(args):
     }
 
 
-def cmd_newton(args):
-    payload = _read_payload()
+def cmd_newton(payload):
     coeffs = _array(payload["coeffs"], "coeffs", _int)
     p = _int(payload["p"])
     polygon = newton_polygon(coeffs, p)
@@ -288,8 +292,7 @@ def cmd_newton(args):
     return out
 
 
-def cmd_artin(args):
-    payload = _read_payload()
+def cmd_artin(payload):
     lat = _load_doc(payload)
     p = _int(payload["p"])
     res = artin_invariant(lat, p)
@@ -302,8 +305,7 @@ def cmd_artin(args):
     }
 
 
-def cmd_mukai(args):
-    payload = _read_payload()
+def cmd_mukai(payload):
     ns = _load_doc({"gram": payload["ns"]} if isinstance(payload["ns"], list)
                    else payload["ns"])
 
@@ -340,24 +342,21 @@ def _blocks_to_json(dec):
     return [{"scale": k, "rank": r, "det_class": c} for k, r, c in dec.blocks]
 
 
-def cmd_jordan(args):
-    payload = _read_payload()
+def cmd_jordan(payload):
     lat = _load_doc(payload)
     p = _int(payload["p"])
     dec = jordan_decomposition(lat, p)
     return {"p": p, "blocks": _blocks_to_json(dec)}
 
 
-def cmd_enumerate(args):
-    payload = _read_payload()
+def cmd_enumerate(payload):
     lat = _load_doc(payload)
     norm = _int(payload["norm"])
     vs = vectors_of_norm(lat, norm)
     return {"norm": norm, "count": len(vs), "vectors": vs.vectors}
 
 
-def cmd_pointed(args):
-    payload = _read_payload()
+def cmd_pointed(payload):
     lat = _load_doc(payload)
     point = _array(payload["point"], "point", _int)
     captured = []
@@ -384,7 +383,10 @@ def cmd_pointed(args):
     return out
 
 
+@cache
 def build_parser():
+    """The argparse parser, built once per process; main looks the command's
+    cmd_<name> up in this module when it runs."""
     parser = argparse.ArgumentParser(
         prog="k3lattice",
         description="Exact quadratic-lattice arithmetic with JSON")
@@ -392,19 +394,18 @@ def build_parser():
                         help="wrap output with volatile metadata")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, txt in [
-        ("disc", cmd_disc, "discriminant group of a Gram document"),
-        ("bb-recover", cmd_bb_recover,
+    for name, txt in [
+        ("disc", "discriminant group of a Gram document"),
+        ("bb-recover",
          "recover a base form from its symmetrized power (or degree mode)"),
-        ("newton", cmd_newton, "Newton polygon of an integer polynomial"),
-        ("artin", cmd_artin, "Artin invariant of a Tate-type lattice"),
-        ("mukai", cmd_mukai, "Mukai lattice pairing and disc comparison"),
-        ("jordan", cmd_jordan, "odd-p Jordan decomposition"),
-        ("enumerate", cmd_enumerate, "vectors of one norm (definite)"),
-        ("pointed", cmd_pointed, "pointed-lattice invariants"),
+        ("newton", "Newton polygon of an integer polynomial"),
+        ("artin", "Artin invariant of a Tate-type lattice"),
+        ("mukai", "Mukai lattice pairing and disc comparison"),
+        ("jordan", "odd-p Jordan decomposition"),
+        ("enumerate", "vectors of one norm (definite)"),
+        ("pointed", "pointed-lattice invariants"),
     ]:
-        p = sub.add_parser(name, help=txt)
-        p.set_defaults(func=func)
+        sub.add_parser(name, help=txt)
 
     d = sub.add_parser("density", help="prime splitting densities")
     d.add_argument("--fermat", action="store_true",
@@ -415,15 +416,15 @@ def build_parser():
                    help="inert in any of Q(sqrt(-p_i)), distinct primes")
     d.add_argument("--bound", type=int, required=True,
                    help="sieve bound (>= 100)")
-    d.set_defaults(func=cmd_density)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cmd = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        data = _s(args.func(args))
+        data = _s(cmd(args) if args.command == "density"
+                  else cmd(_read_payload()))
     except InconsistencyError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4

@@ -114,7 +114,7 @@ def discriminant_group(lat):
     The SNF generator t_i/d_i is taken as (t_i mod d_i)/d_i: the two differ
     by a lattice vector, which changes neither the element nor q.
     """
-    d, _, t = la.smith_normal_form(lat.gram)
+    d, t = la.smith_normal_form(lat.gram)
     keep = [i for i in range(lat.rank) if d[i][i] > 1]
     factors = tuple(d[i][i] for i in keep)
     cols = [[row[i] % d[i][i] for i in keep] for row in t]

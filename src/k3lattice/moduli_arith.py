@@ -187,24 +187,19 @@ def newton_polygon(coeffs, p):
         raise DomainError(f"{p} is not prime")
     pts = [(i, _val(c, p)) for i, c in enumerate(coeffs) if c != 0]
     hull = _lower_hull(pts)
-    slopes = []
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-        slope = -Fraction(y1 - y0, x1 - x0)
-        mult = x1 - x0
-        slopes.append((slope, mult))
-    slopes.sort(key=lambda sm: sm[0])
-    merged = []
-    for slope, mult in slopes:
-        if merged and merged[-1][0] == slope:
-            merged[-1] = (slope, merged[-1][1] + mult)
-        else:
-            merged.append((slope, mult))
-    out = NewtonPolygon(prime=p, slopes=tuple(merged))
+    # hull slopes strictly increase, so the root valuations (their
+    # negatives) ascend along the hull read backwards
+    edges = list(zip(hull, hull[1:]))[::-1]
+    out = NewtonPolygon(prime=p, slopes=tuple(
+        (-Fraction(y1 - y0, x1 - x0), x1 - x0)
+        for (x0, y0), (x1, y1) in edges))
     assert out.degree == len(coeffs) - 1
     return out
 
 
 def _lower_hull(pts):
+    """Vertices of the lower convex hull of points sorted by x; collinear
+    points are dropped, so the edge slopes strictly increase."""
     hull = []
     for pt in pts:
         while len(hull) >= 2:

@@ -273,3 +273,29 @@ def bisection_interval(target, n, width):
         else:
             hi = mid
     return lo, hi
+
+
+def brute_newton_slopes(coeffs, p):
+    """Root valuations of sum(coeffs[i] x^i) over Q_p with multiplicities,
+    ascending, read off the lower convex envelope f of the points
+    (i, v_p(coeffs[i])): f at each integer x is the least value at x of a
+    chord between two points on either side, and the roots have valuation
+    f(x) - f(x + 1) once for each x in 0..deg-1."""
+    pts = []
+    for i, c in enumerate(coeffs):
+        if c:
+            v = 0
+            while c % p == 0:
+                c //= p
+                v += 1
+            pts.append((i, v))
+    deg = len(coeffs) - 1
+    f = [min(Fraction(yi * (xj - x) + yj * (x - xi), xj - xi) if xj > xi
+             else Fraction(yi)
+             for xi, yi in pts for xj, yj in pts if xi <= x <= xj)
+         for x in range(deg + 1)]
+    counts = {}
+    for x in range(deg):
+        val = f[x] - f[x + 1]
+        counts[val] = counts.get(val, 0) + 1
+    return tuple(sorted(counts.items()))

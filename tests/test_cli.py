@@ -2,13 +2,15 @@ import io
 import json
 import sys
 import time
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 import sympy
 
 from k3lattice import k3n_lattice, make_E8
-from k3lattice.cli import main
+from k3lattice import cli
+from k3lattice.cli import build_parser, main
 
 
 def run_cli(capsys, monkeypatch, argv, payload=None):
@@ -192,6 +194,32 @@ def test_bb_recover_w_samples_read_only_supports(capsys, monkeypatch):
     assert time.perf_counter() - start < 2
     assert (code, out) == (2, "")
     assert "missing sample" in err
+
+
+def test_bb_recover_w_dense_walk_past_budget_exits_3(capsys, monkeypatch):
+    # all 3003 samples of a rank-6 w at n = 5 on dense vectors: the first w
+    # call alone needs 6^9 index tuples, refused before its walk starts
+    values = {",".join(map(str, m)): "1"
+              for m in combinations_with_replacement(range(6), 10)}
+    payload = {"n": 5, "xi": ["1"] * 6, "xi_norm": "2",
+               "w_basis_values": values}
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, monkeypatch, ["bb-recover"], payload)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert f"W_TUPLE_BUDGET = {cli.W_TUPLE_BUDGET}" in err
+
+
+@pytest.mark.parametrize("budget, expected", [(15, 0), (14, 3)])
+def test_bb_recover_w_budget_counts_every_walk(capsys, monkeypatch, budget,
+                                               expected):
+    # n = 1 on R^2 with xi = (1, 1): four 1-tuple calls for q, then
+    # w(xi, xi) twice (4 tuples each), w(e_i, e_i) and w(e_0, e_1), 15 in all
+    monkeypatch.setattr(cli, "W_TUPLE_BUDGET", budget)
+    payload = {"n": 1, "xi": ["1", "1"], "xi_norm": "7",
+               "w_basis_values": {"0,0": "2", "0,1": "1", "1,1": "3"}}
+    code, _, _ = run_cli(capsys, monkeypatch, ["bb-recover"], payload)
+    assert code == expected
 
 
 def test_bb_recover_isotropic_xi_is_exit_4(capsys, monkeypatch):
@@ -406,6 +434,44 @@ def test_installed_binary_roundtrip():
         assert r.stderr == ""
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout)["invariant_factors"] == []
+
+
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_consecutive_calls_match_fresh_processes(capsys, monkeypatch):
+    # one parser serves every main call in a process; each call must give
+    # the bytes a fresh interpreter gives for the same request
+    import os
+    import subprocess
+    import k3lattice
+    import_root = os.path.dirname(os.path.dirname(
+        os.path.abspath(k3lattice.__file__)))
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
+        p for p in (import_root, os.environ.get("PYTHONPATH")) if p)}
+    monkeypatch.setenv("COLUMNS", "80")
+    gram = json.dumps({"gram": [["2", "1"], ["1", "2"]], "p": "3"})
+    requests = [(["jordan"], gram), (["density", "--bound"], ""),
+                (["density", "--fermat", "--bound", "1000"], ""),
+                (["disc"], gram)]
+    for argv, stdin in requests:
+        try:
+            got = run_cli(capsys, monkeypatch, argv, stdin)
+        except SystemExit as e:
+            got = (e.code,) + tuple(capsys.readouterr())
+        alone = subprocess.run([sys.executable, "-m", "k3lattice.cli", *argv],
+                               input=stdin, capture_output=True, text=True,
+                               env=env)
+        assert got == (alone.returncode, alone.stdout, alone.stderr), argv
+    assert got[0] == 0 and json.loads(got[1])["order"] == "3"
+
+
+def test_main_calls_the_current_command_function(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_jordan", lambda payload: {"seen": payload})
+    code, out, _ = run_cli(capsys, monkeypatch, ["jordan"], {"p": "5"})
+    assert code == 0
+    assert json.loads(out) == {"seen": {"p": "5"}}
 
 
 def test_meta_wrapper(capsys, monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form
 
 import k3lattice._intlinalg as la
 
@@ -127,3 +128,28 @@ def test_ldl_factors_definite_matrices(n, sign, data):
                for i in range(n) for j in range(i + 1))
     dc = [[d[i] * x for x in c[i]] for i in range(n)]
     assert la.mat_mul(la.transpose(c), dc) == g
+
+
+@ORACLE
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 5), st.data())
+def test_smith_normal_form_against_sympy(m, n, k, data):
+    # a = b c with b m x k and c k x n has rank at most k
+    ints = st.integers(-9, 9)
+    b = data.draw(st.lists(st.lists(ints, min_size=k, max_size=k),
+                           min_size=m, max_size=m))
+    c = data.draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                           min_size=k, max_size=k))
+    a = [[sum(b[i][l] * c[l][j] for l in range(k)) for j in range(n)]
+         for i in range(m)]
+    d, t = la.smith_normal_form(a)
+    r = min(m, n)
+    diag = [d[i][i] for i in range(r)]
+    assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    expected = smith_normal_form(sympy.Matrix(a), domain=sympy.ZZ)
+    assert diag == [abs(int(expected[i, i])) for i in range(r)]
+    assert la.det(t) in (1, -1)
+    at = la.mat_mul(a, t)
+    for j in range(n):
+        dj = diag[j] if j < r else 0
+        assert all((x % dj == 0) if dj else x == 0 for x in
+                   (row[j] for row in at))

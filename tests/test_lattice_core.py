@@ -153,7 +153,7 @@ def test_orthogonal_complement_saturated():
                 x[i], x[j] = gv[j], -gv[i]
                 if all(t == 0 for t in x):
                     continue
-                d, _, t = la.smith_normal_form([list(r) for r in basis])
+                d, t = la.smith_normal_form([list(r) for r in basis])
                 # solve c * basis = x over Z via the Smith transform
                 tx = la.mat_vec(la.transpose(t), x)
                 rank = len(basis)

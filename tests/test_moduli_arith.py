@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import isometry_with_gram_instance, random_even_gram
+from helpers import (brute_newton_slopes, isometry_with_gram_instance,
+                     random_even_gram)
 from k3lattice import (DomainError, FrobeniusPairingInstance, MukaiVector,
                        QuadLattice, abel_jacobi_constants,
                        check_k3_crystal_pairing, cubic_primitive_lattice,
@@ -148,6 +151,9 @@ def test_newton_polygon_examples():
     assert newton_polygon([p * p, p, 1], p).slopes == ((Fraction(1), 2),)
     assert newton_polygon([p, -1, 1], p).slopes == \
         ((Fraction(0), 1), (Fraction(1), 1))
+    # collinear points make one slope
+    assert newton_polygon([1, 3, 9, 27], 3).slopes == ((Fraction(-1), 3),)
+    assert newton_polygon([16, 0, 4, 0, 1], 2).slopes == ((Fraction(1), 4),)
 
 
 def test_newton_polygon_validation():
@@ -209,6 +215,41 @@ def test_slope_multiplicities_sum_to_degree():
         assert polygon.degree == deg
         ss = [s for s, _ in polygon.slopes]
         assert ss == sorted(ss)
+
+
+@st.composite
+def newton_polynomials(draw):
+    """(coeffs, p): nonzero end coefficients, zero inner ones, and runs of
+    points on one line of slope s/d, the others on or above it."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    deg = draw(st.integers(1, 9))
+    d = draw(st.integers(1, 3))
+    s = draw(st.integers(-3, 3))
+    base = draw(st.integers(0, 3)) + max(0, -s) * deg
+
+    def unit():
+        return draw(st.integers(1, 40).filter(lambda u: u % p)) \
+            * draw(st.sampled_from([1, -1]))
+
+    coeffs = []
+    for i in range(deg + 1):
+        line = base + (s * i + d - 1) // d  # least exponent on or above
+        kind = draw(st.sampled_from(["line", "above", "zero", "free"]))
+        if kind == "zero" and 0 < i < deg:
+            coeffs.append(0)
+        elif kind == "free":
+            coeffs.append(unit() * p ** draw(st.integers(0, 6)))
+        else:
+            up = draw(st.integers(1, 3)) if kind == "above" else 0
+            coeffs.append(unit() * p ** (line + up))
+    return coeffs, p
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(newton_polynomials())
+def test_newton_polygon_against_lower_envelope(case):
+    coeffs, p = case
+    assert newton_polygon(coeffs, p).slopes == brute_newton_slopes(coeffs, p)
 
 
 def test_supersingularity_predicate():
