@@ -49,17 +49,6 @@ def perfect_matchings(n):
     return factorial(2 * n) // (2 ** n * factorial(n))
 
 
-def _matchings(indices):
-    if not indices:
-        yield ()
-        return
-    first = indices[0]
-    for i in range(1, len(indices)):
-        rest = indices[1:i] + indices[i + 1:]
-        for m in _matchings(rest):
-            yield ((first, indices[i]),) + m
-
-
 def symmetrized_power(gram, n, args):
     """Evaluate the symmetrized 2n-fold product of the form ``gram`` on a
     tuple of exactly 2n rational vectors, summing over perfect matchings."""
@@ -72,13 +61,15 @@ def symmetrized_power(gram, n, args):
     for i in range(k):
         for j in range(i, k):
             pair[i][j] = pair[j][i] = la.vec_mat_vec(args[i], gram, args[j])
-    total = Fraction(0)
-    for matching in _matchings(tuple(range(k))):
-        term = Fraction(1)
-        for i, j in matching:
-            term *= pair[i][j]
-        total += term
-    return total
+
+    def matched(rest):
+        # the sum over perfect matchings of rest, expanded along rest[0]
+        if not rest:
+            return Fraction(1)
+        return sum(pair[rest[0]][rest[i]] * matched(rest[1:i] + rest[i + 1:])
+                   for i in range(1, len(rest)))
+
+    return matched(tuple(range(k)))
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,19 @@ classification routines with explicit witnesses.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import floor, isqrt
+from math import isqrt, lcm
 
 from . import _intlinalg as la
 from .errors import CapacityError, DomainError
 from .lattice_core import as_vector, signature
+from .prime_density import is_prime
 
 # vectors_of_norm raises CapacityError past this coordinate size.
 COEFF_BOUND = 10 ** 6
+
+# vectors_of_norm raises CapacityError once its search has visited more
+# coordinate values than this, summed over the ranges of all levels.
+NODE_BUDGET = 1 << 21
 
 # is_isometric_definite raises CapacityError above this rank.
 MAX_ISOMETRY_RANK = 8
@@ -29,57 +33,52 @@ class VectorSet:
         return len(self.vectors)
 
 
-def _floor_sqrt(f):
-    """floor(sqrt(f)) for a nonnegative Fraction."""
-    if f < 0:
-        raise ValueError
-    return isqrt(f.numerator * f.denominator) // f.denominator
-
-
-def _range_bounds(center, radius2):
-    """Integers t with (t + center)^2 <= radius2, as an inclusive range."""
-    if radius2 < 0:
-        return 1, 0
-    s = _floor_sqrt(radius2)
-    # conservative endpoints, then tighten exactly (the slack is <= 2)
-    lo = floor(-center) - s - 1
-    hi = floor(-center) + s + 2
-    while lo <= hi and (lo + center) ** 2 > radius2:
-        lo += 1
-    while hi >= lo and (hi + center) ** 2 > radius2:
-        hi -= 1
-    return lo, hi
-
-
 def vectors_of_norm(lat, m):
     """All lattice vectors x with <x, x> = m on a definite lattice.
 
     Complete (the backtracking bounds are intrinsic); ``COEFF_BOUND`` is a
-    sanity cap on coordinate sizes, exceeded only by absurd inputs.
+    sanity cap on coordinate sizes, exceeded only by absurd inputs, and
+    ``NODE_BUDGET`` caps the coordinate values the search visits.
     """
     d, c = la.ldl(lat.gram)
     sign = 1 if d[0] > 0 else -1
     if any(sign * x < 0 for x in d):
         raise DomainError("lattice is not definite")
-    d = [sign * x for x in d]
     n = lat.rank
     target = sign * m
     if target < 0:
         return VectorSet(m, ())
     if target == 0:
         return VectorSet(m, ((0,) * n,))
+    # Scale once to integers: with e_i the lcm of the denominators in row i
+    # of c and a_ij = e_i c_ij, den <x, x> = sum_i w_i (e_i x_i + s_i)^2,
+    # where s_i = sum_{j>i} a_ij x_j and w_i = den sign d_i / e_i^2.
+    e = [lcm(*(c[i][j].denominator for j in range(i + 1, n)))
+         for i in range(n)]
+    a = [[int(c[i][j] * e[i]) for j in range(n)] for i in range(n)]
+    q = [sign * d[i] / e[i] ** 2 for i in range(n)]
+    den = lcm(*(x.denominator for x in q))
+    w = [int(x * den) for x in q]
     found = []
     x = [0] * n
+    visited = 0
 
     def descend(i, remaining):
-        # remaining = target - sum of completed squares for indices > i
-        center = sum(c[i][j] * x[j] for j in range(i + 1, n))
-        lo, hi = _range_bounds(center, Fraction(remaining, 1) / d[i])
+        # remaining = den target - the weighted squares for indices > i
+        nonlocal visited
+        s = sum(a[i][j] * x[j] for j in range(i + 1, n))
+        r = isqrt(remaining // w[i])
+        lo, hi = -((r + s) // e[i]), (r - s) // e[i]
         if max(abs(lo), abs(hi)) > COEFF_BOUND:
             raise CapacityError("coefficient bound exceeded")
+        visited += hi - lo + 1
+        if visited > NODE_BUDGET:
+            raise CapacityError(
+                f"enumeration visits more than NODE_BUDGET = {NODE_BUDGET} "
+                f"coordinate values")
         for t in range(lo, hi + 1):
             x[i] = t
-            used = d[i] * (t + center) ** 2
+            used = w[i] * (e[i] * t + s) ** 2
             if i == 0:
                 if used == remaining:
                     found.append(tuple(x))
@@ -87,7 +86,7 @@ def vectors_of_norm(lat, m):
                 descend(i - 1, remaining - used)
         x[i] = 0
 
-    descend(n - 1, Fraction(target))
+    descend(n - 1, den * target)
     found.sort()
     return VectorSet(m, tuple(found))
 
@@ -148,6 +147,8 @@ def find_vector_norm_prime_to_p(lat, p):
     Gram entry vanishes mod p (p odd), or every diagonal entry is even
     (p = 2), then every norm is divisible by p and None is definitive.
     """
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     n = lat.rank
     g = lat.gram
     for i in range(n):

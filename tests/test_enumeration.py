@@ -6,7 +6,7 @@ import k3lattice._intlinalg as la
 from helpers import (box_vectors, conjugate_gram, random_unimodular,
                      sufficient_box)
 from k3lattice import (CapacityError, DomainError, QuadLattice, direct_sum,
-                       find_vector_norm_prime_to_p, inner_product,
+                       enumeration, find_vector_norm_prime_to_p, inner_product,
                        is_isometric_definite, make_E8, make_rank1, make_U,
                        mukai_lattice, orthogonal_complement,
                        vectors_of_norm)
@@ -58,7 +58,21 @@ def test_agreement_with_box_enumeration():
         m = rng.randint(0, 12)
         mine = tuple(tuple(v) for v in vectors_of_norm(lat, m).vectors)
         assert mine == tuple(box_vectors(g, m, sufficient_box(g, m)))
+        negated = QuadLattice([[-x for x in row] for row in g])
+        assert vectors_of_norm(negated, -m).vectors == mine
         done += 1
+
+
+def test_node_budget(monkeypatch):
+    # one level, t in -1..1: three coordinate values
+    monkeypatch.setattr(enumeration, "NODE_BUDGET", 3)
+    assert len(vectors_of_norm(make_rank1(2), 2)) == 2
+    monkeypatch.setattr(enumeration, "NODE_BUDGET", 2)
+    with pytest.raises(CapacityError, match="NODE_BUDGET = 2"):
+        vectors_of_norm(make_rank1(2), 2)
+    monkeypatch.setattr(enumeration, "NODE_BUDGET", 1000)
+    with pytest.raises(CapacityError, match="NODE_BUDGET"):
+        vectors_of_norm(make_E8(), -4)
 
 
 def test_block_swap_stability():
@@ -127,6 +141,9 @@ def test_find_vector_norm_prime_to_p():
     assert find_vector_norm_prime_to_p(QuadLattice(((5,),)), 5) is None
     assert find_vector_norm_prime_to_p(QuadLattice(((25, 5), (5, 10))),
                                        5) is None
+    for p in (4, 0):
+        with pytest.raises(DomainError, match="not prime"):
+            find_vector_norm_prime_to_p(QuadLattice(((0, 2), (2, 0))), p)
 
 
 def test_find_vector_on_mukai_complements():
