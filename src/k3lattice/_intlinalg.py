@@ -218,15 +218,6 @@ def hermite_normal_form(rows):
     return m[:r]
 
 
-def row_lattice_basis(rows, n):
-    """Canonical basis (row HNF) of the full-rank sublattice of Z^n
-    spanned by integer rows."""
-    basis = hermite_normal_form(rows)
-    if len(basis) != n:
-        raise ValueError("rows do not span a full-rank sublattice")
-    return basis
-
-
 def ldl(g):
     """Exact symmetric elimination g = U^T D U of a symmetric rational
     matrix: returns the pivots d and the rows c of the unit upper triangular

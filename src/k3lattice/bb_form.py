@@ -15,6 +15,7 @@ w(xi, ..., xi, a, b) = c_{n-1} q(a, b) q(xi, xi)^{n-1}.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import factorial, isqrt
 
@@ -25,7 +26,7 @@ from .prime_density import _integer_root
 # degree_to_bb isolates an irrational root in an interval this wide.
 INTERVAL_WIDTH = Fraction(1, 10 ** 6)
 
-# symmetrized_power sums over (2n)!/(2^n n!) matchings per call, and
+# symmetrized_power sums over up to (2n)!/(2^n n!) matchings a call, and
 # recover_form makes O(r^2) calls of its w; both raise CapacityError above
 # this n.
 MAX_POWER_N = 5
@@ -50,18 +51,17 @@ def perfect_matchings(n):
 
 
 def symmetrized_power(gram, n, args):
-    """Evaluate the symmetrized 2n-fold product of the form ``gram`` on a
-    tuple of exactly 2n rational vectors, summing over perfect matchings."""
+    """Evaluate the symmetrized 2n-fold product of the symmetric form
+    ``gram`` on exactly 2n rational vectors, summing over the perfect
+    matchings of the distinct arguments."""
     _check_n(n, MAX_POWER_N, "MAX_POWER_N")
     args = [tuple(Fraction(x) for x in v) for v in args]
     if len(args) != 2 * n:
         raise DomainError(f"expected {2 * n} vectors, got {len(args)}")
-    k = len(args)
-    pair = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            pair[i][j] = pair[j][i] = la.vec_mat_vec(args[i], gram, args[j])
+    kinds = sorted(set(args))
+    pair = la.congruence(la.transpose(kinds), gram)
 
+    @cache
     def matched(rest):
         # the sum over perfect matchings of rest, expanded along rest[0]
         if not rest:
@@ -69,7 +69,7 @@ def symmetrized_power(gram, n, args):
         return sum(pair[rest[0]][rest[i]] * matched(rest[1:i] + rest[i + 1:])
                    for i in range(1, len(rest)))
 
-    return matched(tuple(range(k)))
+    return matched(tuple(sorted(kinds.index(v) for v in args)))
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ def recover_form(w, n, xi, xi_norm, basis):
 
     ``w`` is a callback taking a sequence of 2n rational vectors.  ``basis``
     must be a basis of the ambient space; the returned Gram matrix is q on
-    it.  If the recovered form does not reproduce w on xi and on the
-    diagonal and near-diagonal basis samples, InconsistencyError is raised.
+    it.  InconsistencyError is raised unless w(b_i^{2n-1}, b_j) =
+    c_n q_ii^{n-1} q_ij, w(xi^{2n}) = c_n q(xi, xi)^n and q(xi, xi) = xi_norm.
     """
     _check_n(n, MAX_POWER_N, "MAX_POWER_N")
     xi_norm = Fraction(xi_norm)
@@ -118,9 +118,6 @@ def recover_form(w, n, xi, xi_norm, basis):
 
     if n == 1:
         q = [[w((basis[i], basis[j])) for j in range(r)] for i in range(r)]
-        if w((xi, xi)) != xi_norm:
-            raise InconsistencyError("w(xi, xi) contradicts the claimed "
-                                     "q(xi, xi)")
     else:
         # cross terms q(xi, b_i) from the almost-pure-xi slice
         head = (xi,) * (2 * n - 1)
@@ -144,18 +141,20 @@ def recover_form(w, n, xi, xi_norm, basis):
         raise DomainError("basis vectors are linearly dependent")
     xi_coords = tuple(sum(inv[i][t] * xi[t] for t in range(r))
                       for i in range(r))
-    unit = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
-    samples = [((xi,) * (2 * n), (xi_coords,) * (2 * n))]
+    xi_q = la.vec_mat_vec(xi_coords, q, xi_coords)
+    samples = [((xi,) * (2 * n), c_n * xi_q ** n)]
     for i in range(r):
-        samples.append(((basis[i],) * (2 * n), (unit[i],) * (2 * n)))
-        for j in range(i + 1, r):
+        for j in range(i, r):
             samples.append(((basis[i],) * (2 * n - 1) + (basis[j],),
-                            (unit[i],) * (2 * n - 1) + (unit[j],)))
-    for ambient, coords in samples:
-        if w(ambient) != symmetrized_power(q, n, coords):
+                            c_n * q[i][i] ** (n - 1) * q[i][j]))
+    for ambient, value in samples:
+        if w(ambient) != value:
             raise InconsistencyError(
                 "samples are not generated by any symmetric form with "
                 "the given q(xi, xi)")
+    if xi_q != xi_norm:
+        raise InconsistencyError("w(xi, xi) contradicts the claimed "
+                                 "q(xi, xi)")
     return tuple(tuple(row) for row in q)
 
 

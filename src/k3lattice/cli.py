@@ -200,6 +200,8 @@ def cmd_bb_recover(payload):
         q = _array(payload["q"], "q", lambda row: _array(row, "q", _frac))
         if len(q) != len(xi) or any(len(r) != len(q) for r in q):
             raise InvalidGramError("q must be square and match xi")
+        if q != la.transpose(q):
+            raise InvalidGramError("q must be symmetric")
         xi_norm = la.vec_mat_vec(xi, q, xi)
 
         def w(vecs):

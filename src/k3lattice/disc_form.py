@@ -172,7 +172,8 @@ def isotropic_subgroups(form):
     """
     if form.order > MAX_GROUP_ORDER:
         raise CapacityError(
-            f"group of order {form.order} exceeds bound {MAX_GROUP_ORDER}")
+            f"group of order {form.order} exceeds "
+            f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
     zero = (0,) * len(form.invariant_factors)
     isotropic = [x for x in form.elements() if form.q(x) == 0]
     iso_set = set(isotropic)
@@ -211,7 +212,7 @@ def overlattice_basis(lat, sub):
     rows = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
     for v in lifts:
         rows.append([int(x * denom) for x in v])
-    basis = la.row_lattice_basis(rows, n)
+    basis = la.hermite_normal_form(rows)
     return [[Fraction(x, denom) for x in row] for row in basis]
 
 
@@ -223,7 +224,7 @@ def overlattice_from_isotropic(lat, sub):
     the input is.
     """
     bq = overlattice_basis(lat, sub)
-    g = [[la.vec_mat_vec(bi, lat.gram, bj) for bj in bq] for bi in bq]
+    g = la.congruence(la.transpose(bq), lat.gram)
     for row in g:
         for x in row:
             if x.denominator != 1:
@@ -269,7 +270,8 @@ def forms_isomorphic(f1, f2):
         return False
     if f1.order > MAX_GROUP_ORDER:
         raise CapacityError(
-            f"group of order {f1.order} exceeds bound {MAX_GROUP_ORDER}")
+            f"group of order {f1.order} exceeds "
+            f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
     if f1.is_trivial:
         return True
 

@@ -5,6 +5,7 @@ classification routines with explicit witnesses.
 
 from dataclasses import dataclass
 from math import isqrt, lcm
+from operator import mul
 
 from . import _intlinalg as la
 from .errors import CapacityError, DomainError
@@ -70,7 +71,8 @@ def vectors_of_norm(lat, m):
         r = isqrt(remaining // w[i])
         lo, hi = -((r + s) // e[i]), (r - s) // e[i]
         if max(abs(lo), abs(hi)) > COEFF_BOUND:
-            raise CapacityError("coefficient bound exceeded")
+            raise CapacityError(
+                f"a coordinate exceeds COEFF_BOUND = {COEFF_BOUND}")
         visited += hi - lo + 1
         if visited > NODE_BUDGET:
             raise CapacityError(
@@ -107,7 +109,7 @@ def is_isometric_definite(l1, l2):
         return None
     if l1.rank > MAX_ISOMETRY_RANK:
         raise CapacityError(
-            f"rank {l1.rank} exceeds bound {MAX_ISOMETRY_RANK}")
+            f"rank {l1.rank} exceeds MAX_ISOMETRY_RANK = {MAX_ISOMETRY_RANK}")
     if l1.det != l2.det:
         return None
     n = l1.rank
@@ -116,7 +118,9 @@ def is_isometric_definite(l1, l2):
     for i in range(n):
         norm = g1[i][i]
         if norm not in candidates:
-            candidates[norm] = vectors_of_norm(l2, norm).vectors
+            # each candidate v with its row v^T G2 (G2 is symmetric)
+            candidates[norm] = [(v, la.mat_vec(l2.gram, v))
+                                for v in vectors_of_norm(l2, norm).vectors]
         if not candidates[norm]:
             return None
     images = []
@@ -124,8 +128,8 @@ def is_isometric_definite(l1, l2):
     def place(i):
         if i == n:
             return True
-        for v in candidates[g1[i][i]]:
-            if all(la.vec_mat_vec(v, l2.gram, images[j]) == g1[i][j]
+        for v, row in candidates[g1[i][i]]:
+            if all(sum(map(mul, row, images[j])) == g1[i][j]
                    for j in range(i)):
                 images.append(v)
                 if place(i + 1):

@@ -171,9 +171,8 @@ def orthogonal_complement(lat, v):
     if all(x == 0 for x in v):
         raise DomainError("cannot take the complement of the zero vector")
     constraint = [la.mat_vec(lat.gram, v)]
-    kernel = la.integer_kernel(constraint)
-    b = kernel  # rows
-    g = [[la.vec_mat_vec(bi, lat.gram, bj) for bj in b] for bi in b]
+    b = la.integer_kernel(constraint)  # rows
+    g = la.congruence(la.transpose(b), lat.gram)
     try:
         comp = QuadLattice(g)
     except DegenerateLatticeError:

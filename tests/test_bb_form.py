@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (bisection_interval, pair_value,
                      perm_symmetrized_power)
@@ -72,6 +74,21 @@ def test_matching_equals_permutation_sum():
                 for _ in range(2 * n)]
         assert symmetrized_power(g, n, args) == \
             perm_symmetrized_power(g, n, args)
+    # repeated arguments in the multiplicity patterns (2n), (2n-1, 1),
+    # (2n-2, 1, 1), (2n-2, 2) and all distinct, in shuffled positions
+    for n in (1, 2, 3):
+        for mult in ((2 * n,), (2 * n - 1, 1), (2 * n - 2, 1, 1),
+                     (2 * n - 2, 2), (1,) * (2 * n)):
+            g = _random_form(rng, 3)
+            kinds = []
+            while len(kinds) < len(mult):
+                v = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
+                if v not in kinds:
+                    kinds.append(v)
+            args = [v for v, m in zip(kinds, mult) for _ in range(m)]
+            rng.shuffle(args)
+            assert symmetrized_power(g, n, args) == \
+                perm_symmetrized_power(g, n, args)
 
 
 def test_multilinearity_and_symmetry():
@@ -164,6 +181,27 @@ def test_recover_form_rejects_inconsistent_samples():
     with pytest.raises(InconsistencyError):
         recover_form(lambda args: symmetrized_power(g, 2, args),
                      2, xi, Fraction(4), basis)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.data())
+def test_recover_form_rejects_a_wrong_xi_norm(data):
+    # any claimed q(xi, xi) but the true one is an inconsistency, also for
+    # an isotropic xi; for even n, -q has the same w, so -q(xi, xi) is not
+    n = data.draw(st.integers(1, 3))
+    r = data.draw(st.integers(1, 3))
+    g = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            g[i][j] = g[j][i] = Fraction(data.draw(st.integers(-3, 3)))
+    xi = [Fraction(data.draw(st.integers(-2, 2))) for _ in range(r)]
+    true_norm = pair_value(g, xi, xi)
+    allowed = {true_norm, (-1) ** n * true_norm}
+    claimed = data.draw(st.integers(-6, 6).filter(lambda x: x not in allowed))
+    basis = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    with pytest.raises(InconsistencyError):
+        recover_form(lambda args: symmetrized_power(g, n, args),
+                     n, xi, claimed, basis)
 
 
 def test_power_n_bound():

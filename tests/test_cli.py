@@ -210,11 +210,11 @@ def test_bb_recover_w_dense_walk_past_budget_exits_3(capsys, monkeypatch):
     assert f"W_TUPLE_BUDGET = {cli.W_TUPLE_BUDGET}" in err
 
 
-@pytest.mark.parametrize("budget, expected", [(15, 0), (14, 3)])
+@pytest.mark.parametrize("budget, expected", [(11, 0), (10, 3)])
 def test_bb_recover_w_budget_counts_every_walk(capsys, monkeypatch, budget,
                                                expected):
     # n = 1 on R^2 with xi = (1, 1): four 1-tuple calls for q, then
-    # w(xi, xi) twice (4 tuples each), w(e_i, e_i) and w(e_0, e_1), 15 in all
+    # w(xi, xi) once (4 tuples), w(e_i, e_i) and w(e_0, e_1), 11 in all
     monkeypatch.setattr(cli, "W_TUPLE_BUDGET", budget)
     payload = {"n": 1, "xi": ["1", "1"], "xi_norm": "7",
                "w_basis_values": {"0,0": "2", "0,1": "1", "1,1": "3"}}

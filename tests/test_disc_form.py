@@ -110,7 +110,7 @@ def test_isotropic_subgroups_examples():
 
 def test_isotropic_subgroups_capacity():
     big = make_rank1(-20002)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="MAX_GROUP_ORDER = 10000"):
         isotropic_subgroups(discriminant_group(big))
 
 

@@ -75,6 +75,11 @@ def test_node_budget(monkeypatch):
         vectors_of_norm(make_E8(), -4)
 
 
+def test_coeff_bound():
+    with pytest.raises(CapacityError, match="COEFF_BOUND = 1000000"):
+        vectors_of_norm(make_rank1(1), 10 ** 14)
+
+
 def test_block_swap_stability():
     blk = QuadLattice(((2, 1), (1, 4)))
     lat = direct_sum(blk, blk)
@@ -110,7 +115,7 @@ def test_isometry_search_verdicts():
     assert is_isometric_definite(make_rank1(2), make_rank1(-2)) is None
     with pytest.raises(DomainError):
         is_isometric_definite(make_U(), make_U())
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="MAX_ISOMETRY_RANK = 8"):
         big = direct_sum(make_E8(), make_rank1(-2))
         is_isometric_definite(big, big)
 
