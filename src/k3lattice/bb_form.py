@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial, isqrt
 
 from . import _intlinalg as la
-from .errors import CapacityError, DomainError, InconsistencyError
+from .errors import DomainError, InconsistencyError, check_limit
 from .prime_density import _integer_root
 
 # degree_to_bb isolates an irrational root in an interval this wide.
@@ -36,11 +36,9 @@ MAX_POWER_N = 5
 MAX_DEGREE_N = 1000
 
 
-def _check_n(n, bound, name):
+def _check_n(n):
     if n < 1:
         raise DomainError("n must be >= 1")
-    if n > bound:
-        raise CapacityError(f"n = {n} exceeds {name} = {bound}")
 
 
 def perfect_matchings(n):
@@ -54,7 +52,8 @@ def symmetrized_power(gram, n, args):
     """Evaluate the symmetrized 2n-fold product of the symmetric form
     ``gram`` on exactly 2n rational vectors, summing over the perfect
     matchings of the distinct arguments."""
-    _check_n(n, MAX_POWER_N, "MAX_POWER_N")
+    _check_n(n)
+    check_limit("MAX_POWER_N", MAX_POWER_N, "n =", n)
     args = [tuple(Fraction(x) for x in v) for v in args]
     if len(args) != 2 * n:
         raise DomainError(f"expected {2 * n} vectors, got {len(args)}")
@@ -102,9 +101,11 @@ def recover_form(w, n, xi, xi_norm, basis):
     ``w`` is a callback taking a sequence of 2n rational vectors.  ``basis``
     must be a basis of the ambient space; the returned Gram matrix is q on
     it.  InconsistencyError is raised unless w(b_i^{2n-1}, b_j) =
-    c_n q_ii^{n-1} q_ij, w(xi^{2n}) = c_n q(xi, xi)^n and q(xi, xi) = xi_norm.
+    c_n q_ii^{n-1} q_ji (at n = 1: unless w is symmetric),
+    w(xi^{2n}) = c_n q(xi, xi)^n and q(xi, xi) = xi_norm.
     """
-    _check_n(n, MAX_POWER_N, "MAX_POWER_N")
+    _check_n(n)
+    check_limit("MAX_POWER_N", MAX_POWER_N, "n =", n)
     xi_norm = Fraction(xi_norm)
     if xi_norm == 0:
         raise InconsistencyError("q(xi, xi) must be nonzero to recover q")
@@ -143,10 +144,11 @@ def recover_form(w, n, xi, xi_norm, basis):
                       for i in range(r))
     xi_q = la.vec_mat_vec(xi_coords, q, xi_coords)
     samples = [((xi,) * (2 * n), c_n * xi_q ** n)]
+    # q_ji, not q_ij: at n = 1 this checks that w is symmetric
     for i in range(r):
         for j in range(i, r):
             samples.append(((basis[i],) * (2 * n - 1) + (basis[j],),
-                            c_n * q[i][i] ** (n - 1) * q[i][j]))
+                            c_n * q[i][i] ** (n - 1) * q[j][i]))
     for ambient, value in samples:
         if w(ambient) != value:
             raise InconsistencyError(
@@ -179,7 +181,8 @@ def degree_to_bb(d, n):
     Beauville-Bogomolov norm.  Exact when the root is rational; otherwise
     returns an isolating interval of width at most ``INTERVAL_WIDTH``.
     """
-    _check_n(n, MAX_DEGREE_N, "MAX_DEGREE_N")
+    _check_n(n)
+    check_limit("MAX_DEGREE_N", MAX_DEGREE_N, "n =", n)
     d = Fraction(d)
     if d <= 0:
         raise DomainError("degree must be positive")

@@ -24,8 +24,9 @@ from . import _intlinalg as la
 from .bb_form import degree_to_bb, recover_form, symmetrized_power
 from .disc_form import disc_local_part, discriminant_group
 from .enumeration import vectors_of_norm
-from .errors import (CapacityError, DegenerateLatticeError, DomainError,
-                     InconsistencyError, InvalidGramError, StructureError)
+from .errors import (Budget, CapacityError, DegenerateLatticeError,
+                     DomainError, InconsistencyError, InvalidGramError,
+                     StructureError)
 from .lattice_core import QuadLattice
 from .local_arith import (artin_invariant, jordan_decomposition,
                           pointed_equivalent_at_p, pointed_invariants)
@@ -210,17 +211,13 @@ def cmd_bb_recover(payload):
         r = len(xi)
         values = _load_w_values(payload["w_basis_values"], n, r)
         xi_norm = _frac(payload["xi_norm"])
-        walked = 0
+        meter = Budget("W_TUPLE_BUDGET", W_TUPLE_BUDGET, "bb-recover needs",
+                       "w_basis_values index tuples")
 
         def w(vecs):
-            nonlocal walked
             # only index tuples inside every vector's support contribute
             supports = [[i for i, x in enumerate(v) if x] for v in vecs]
-            walked += prod(map(len, supports))
-            if walked > W_TUPLE_BUDGET:
-                raise CapacityError(
-                    f"bb-recover needs more than W_TUPLE_BUDGET = "
-                    f"{W_TUPLE_BUDGET} w_basis_values index tuples")
+            meter.charge(prod(map(len, supports)))
             total = Fraction(0)
             for combo in product(*supports):
                 key = tuple(sorted(combo))

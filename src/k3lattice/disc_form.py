@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import _intlinalg as la
-from .errors import CapacityError, DomainError, StructureError
+from .errors import DomainError, StructureError, check_limit
 from .lattice_core import QuadLattice, is_even, is_isometry
 
 # isotropic_subgroups and forms_isomorphic enumerate the group's elements and
@@ -170,10 +170,8 @@ def isotropic_subgroups(form):
     subgroup.  Raises CapacityError when the group is larger than
     ``MAX_GROUP_ORDER``.
     """
-    if form.order > MAX_GROUP_ORDER:
-        raise CapacityError(
-            f"group of order {form.order} exceeds "
-            f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
+    check_limit("MAX_GROUP_ORDER", MAX_GROUP_ORDER, "group of order",
+                form.order)
     zero = (0,) * len(form.invariant_factors)
     isotropic = [x for x in form.elements() if form.q(x) == 0]
     iso_set = set(isotropic)
@@ -268,10 +266,8 @@ def forms_isomorphic(f1, f2):
         return False
     if f1.modulus != f2.modulus:
         return False
-    if f1.order > MAX_GROUP_ORDER:
-        raise CapacityError(
-            f"group of order {f1.order} exceeds "
-            f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
+    check_limit("MAX_GROUP_ORDER", MAX_GROUP_ORDER, "group of order",
+                f1.order)
     if f1.is_trivial:
         return True
 

@@ -8,19 +8,15 @@ from math import isqrt, lcm
 from operator import mul
 
 from . import _intlinalg as la
-from .errors import CapacityError, DomainError
+from .errors import Budget, DomainError
 from .lattice_core import as_vector, signature
 from .prime_density import is_prime
 
-# vectors_of_norm raises CapacityError past this coordinate size.
-COEFF_BOUND = 10 ** 6
-
-# vectors_of_norm raises CapacityError once its search has visited more
-# coordinate values than this, summed over the ranges of all levels.
+# vectors_of_norm raises CapacityError once its search would visit more
+# coordinate values than this, summed over the ranges of all levels, and
+# is_isometric_definite once its search would try more candidate images,
+# summed over the candidate lists of all levels.
 NODE_BUDGET = 1 << 21
-
-# is_isometric_definite raises CapacityError above this rank.
-MAX_ISOMETRY_RANK = 8
 
 
 @dataclass(frozen=True)
@@ -37,9 +33,8 @@ class VectorSet:
 def vectors_of_norm(lat, m):
     """All lattice vectors x with <x, x> = m on a definite lattice.
 
-    Complete (the backtracking bounds are intrinsic); ``COEFF_BOUND`` is a
-    sanity cap on coordinate sizes, exceeded only by absurd inputs, and
-    ``NODE_BUDGET`` caps the coordinate values the search visits.
+    Complete (the backtracking bounds are intrinsic); ``NODE_BUDGET`` caps
+    the coordinate values the search visits.
     """
     d, c = la.ldl(lat.gram)
     sign = 1 if d[0] > 0 else -1
@@ -62,22 +57,15 @@ def vectors_of_norm(lat, m):
     w = [int(x * den) for x in q]
     found = []
     x = [0] * n
-    visited = 0
+    meter = Budget("NODE_BUDGET", NODE_BUDGET, "enumeration visits",
+                   "coordinate values")
 
     def descend(i, remaining):
         # remaining = den target - the weighted squares for indices > i
-        nonlocal visited
         s = sum(a[i][j] * x[j] for j in range(i + 1, n))
         r = isqrt(remaining // w[i])
         lo, hi = -((r + s) // e[i]), (r - s) // e[i]
-        if max(abs(lo), abs(hi)) > COEFF_BOUND:
-            raise CapacityError(
-                f"a coordinate exceeds COEFF_BOUND = {COEFF_BOUND}")
-        visited += hi - lo + 1
-        if visited > NODE_BUDGET:
-            raise CapacityError(
-                f"enumeration visits more than NODE_BUDGET = {NODE_BUDGET} "
-                f"coordinate values")
+        meter.charge(hi - lo + 1)
         for t in range(lo, hi + 1):
             x[i] = t
             used = w[i] * (e[i] * t + s) ** 2
@@ -94,11 +82,11 @@ def vectors_of_norm(lat, m):
 
 
 def is_isometric_definite(l1, l2):
-    """Search for an isometry between definite lattices of rank at most
-    ``MAX_ISOMETRY_RANK``.
+    """Search for an isometry between definite lattices.
 
     Returns a matrix g with g^T G2 g = G1 (columns are the images of the
     basis of l1 in the basis of l2), or None if no isometry exists.
+    ``NODE_BUDGET`` caps the candidate images the search tries.
     """
     s1 = signature(l1)
     s2 = signature(l2)
@@ -107,9 +95,6 @@ def is_isometric_definite(l1, l2):
     # definite signatures agree iff the ranks and the signs do
     if s1 != s2:
         return None
-    if l1.rank > MAX_ISOMETRY_RANK:
-        raise CapacityError(
-            f"rank {l1.rank} exceeds MAX_ISOMETRY_RANK = {MAX_ISOMETRY_RANK}")
     if l1.det != l2.det:
         return None
     n = l1.rank
@@ -124,10 +109,13 @@ def is_isometric_definite(l1, l2):
         if not candidates[norm]:
             return None
     images = []
+    meter = Budget("NODE_BUDGET", NODE_BUDGET, "isometry search tries",
+                   "candidate images")
 
     def place(i):
         if i == n:
             return True
+        meter.charge(len(candidates[g1[i][i]]))
         for v, row in candidates[g1[i][i]]:
             if all(sum(map(mul, row, images[j])) == g1[i][j]
                    for j in range(i)):

@@ -23,7 +23,28 @@ class StructureError(LatticeError):
 
 
 class CapacityError(LatticeError):
-    """An exhaustive enumeration would exceed the configured size bound."""
+    """An input or a search would pass one of the package's limits."""
+
+
+def check_limit(name, limit, what, value):
+    """Raise CapacityError "<what> <value> exceeds <name> = <limit>" if
+    value > limit."""
+    if value > limit:
+        raise CapacityError(f"{what} {value} exceeds {name} = {limit}")
+
+
+class Budget:
+    """The work one call may do, charged before it is done: past limit,
+    charge raises CapacityError "<what> more than <name> = <limit> <unit>"."""
+
+    def __init__(self, name, limit, what, unit):
+        self.left = limit
+        self.message = f"{what} more than {name} = {limit} {unit}"
+
+    def charge(self, amount):
+        self.left -= amount
+        if self.left < 0:
+            raise CapacityError(self.message)
 
 
 class InconsistencyError(LatticeError):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import CapacityError, DomainError
+from .errors import Budget, DomainError, check_limit
 
 
 # The first 13 primes: trial divisors and Miller-Rabin bases of is_prime.
@@ -135,33 +135,27 @@ def _perfect_power(n):
     return None
 
 
-def _pollard_brent(n, budget):
-    """A proper divisor of the odd composite n and the steps spent, by
-    Brent's variant of Pollard's rho with x0 = 2 and c = 1, 2, 3, ...
-    Raises CapacityError once more than budget steps are spent."""
-    steps = 0
+def _pollard_brent(n, meter):
+    """A proper divisor of the odd composite n, by Brent's variant of
+    Pollard's rho with x0 = 2 and c = 1, 2, 3, ..., charging its steps to
+    the Budget meter."""
     c = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             x = y
+            meter.charge(r)
             for _ in range(r):
                 y = (y * y + c) % n
-            steps += r
             k = 0
             while k < r and g == 1:
-                if steps > budget:
-                    raise CapacityError(
-                        f"factoring budget of {RHO_STEP_BUDGET} "
-                        f"Pollard-Brent steps exhausted on a "
-                        f"{n.bit_length()}-bit cofactor")
                 ys = y
                 batch = min(_RHO_BATCH, r - k)
+                meter.charge(batch)
                 for _ in range(batch):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
-                steps += batch
                 g = gcd(q, n)
                 k += batch
             r *= 2
@@ -172,7 +166,7 @@ def _pollard_brent(n, budget):
                 ys = (ys * ys + c) % n
                 g = gcd(x - ys, n)
         if g != n:
-            return g, steps
+            return g
 
 
 def factorize(n):
@@ -198,7 +192,8 @@ def factorize(n):
                 n //= d
                 e += 1
             exps[d] = e
-    budget = RHO_STEP_BUDGET
+    meter = Budget("RHO_STEP_BUDGET", RHO_STEP_BUDGET, "factorize needs",
+                   f"Pollard-Brent steps on a {n.bit_length()}-bit cofactor")
     stack = [(n, 1)] if n > 1 else []
     while stack:
         m, e = stack.pop()
@@ -209,8 +204,7 @@ def factorize(n):
         if power is not None:
             stack.append((power[0], e * power[1]))
             continue
-        d, spent = _pollard_brent(m, budget)
-        budget -= spent
+        d = _pollard_brent(m, meter)
         stack += [(d, e), (m // d, e)]
     return sorted(exps.items())
 
@@ -310,9 +304,7 @@ def union_inert_density(primes):
 def sieve_primes(bound):
     """All primes <= bound, by a basic Eratosthenes sieve; bound is at most
     SIEVE_LIMIT."""
-    if bound > SIEVE_LIMIT:
-        raise CapacityError(
-            f"sieve bound {bound} exceeds limit {SIEVE_LIMIT}")
+    check_limit("SIEVE_LIMIT", SIEVE_LIMIT, "sieve bound", bound)
     if bound < 2:
         return []
     flags = bytearray([1]) * (bound + 1)

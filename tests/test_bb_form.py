@@ -156,6 +156,16 @@ def test_recover_form_degenerates_to_w_for_n1():
     assert [list(row) for row in rec] == g
 
 
+def test_recover_form_rejects_a_non_symmetric_w_for_n1():
+    # at n = 1 every sample is an entry just read, so only w(b_0, b_1) =
+    # w(b_1, b_0) tells this bilinear w from the form of a symmetric q
+    g = [[2, 1], [3, -4]]
+    basis = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    with pytest.raises(InconsistencyError, match="samples are not generated"):
+        recover_form(lambda args: pair_value(g, args[0], args[1]), 1,
+                     [1, 0], 2, basis)
+
+
 def test_recover_form_rejects_zero_xi_norm():
     with pytest.raises(InconsistencyError):
         recover_form(lambda args: Fraction(0), 2,

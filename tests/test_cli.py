@@ -265,7 +265,7 @@ def test_density_bound_over_sieve_limit_is_exit_3(capsys, monkeypatch,
     code, out, err = run_cli(capsys, monkeypatch,
                              ["density", "--fermat", "--bound", bound])
     assert (code, out, err) == (
-        3, "", f"error: sieve bound {bound} exceeds limit 10000000\n")
+        3, "", f"error: sieve bound {bound} exceeds SIEVE_LIMIT = 10000000\n")
 
 
 def test_newton(capsys, monkeypatch):
@@ -324,7 +324,8 @@ def test_disc_order_beyond_factoring_budget_exits_3(capsys, monkeypatch):
     code, out, err = run_cli(capsys, monkeypatch, ["disc"],
                              {"gram": [[str(p), "0"], ["0", str(q)]]})
     assert code == 3 and out == ""
-    assert "Pollard-Brent steps exhausted on a 160-bit cofactor" in err
+    assert ("more than RHO_STEP_BUDGET = 4194304 Pollard-Brent steps on a "
+            "160-bit cofactor\n") in err
 
 
 BIG = "1" + "0" * 5000

@@ -1,11 +1,15 @@
-"""README's table of size limits agrees with the module constants."""
+"""README's table of size limits agrees with the module constants, and
+every limit is enforced through the helpers in errors.py."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src" / "k3lattice"
 ROW = re.compile(r"^\| `(\w+)\.(\w+)` \| ([^|]+) \|", re.M)
+HELPERS = {"Budget", "check_limit"}
 
 
 def _value(text):
@@ -23,3 +27,41 @@ def test_readme_limits_table_matches_constants():
     for module, name, value in rows:
         mod = importlib.import_module(f"k3lattice.{module}")
         assert getattr(mod, name) == _value(value), f"{module}.{name}"
+
+
+def _called(node, names):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in names)
+
+
+def test_every_limit_goes_through_the_errors_helpers():
+    limits = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text())
+        raised = {id(node) for node in ast.walk(tree)
+                  if _called(node, {"CapacityError"})
+                  or isinstance(node, ast.Raise)
+                  and isinstance(node.exc, ast.Name)
+                  and node.exc.id == "CapacityError"}
+        allowed = set()
+        if path.name == "cli.py":
+            # the interpreter's digit limit is not a module constant
+            digit = next(node for node in ast.walk(tree)
+                         if isinstance(node, ast.FunctionDef)
+                         and node.name == "_digit_limit_error")
+            allowed = {id(node) for node in ast.walk(digit)
+                       if _called(node, {"CapacityError"})}
+            assert len(allowed) == 1
+        assert raised == allowed, path.name
+        for node in ast.walk(tree):
+            if _called(node, HELPERS):
+                name, constant = node.args[:2]
+                assert isinstance(name, ast.Constant), path.name
+                assert isinstance(constant, ast.Name), path.name
+                assert constant.id == name.value, path.name
+                limits.add((path.stem, name.value))
+    rows = {(module, name) for module, name, _ in
+            ROW.findall(README.read_text())}
+    assert limits == rows

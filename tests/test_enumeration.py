@@ -75,8 +75,20 @@ def test_node_budget(monkeypatch):
         vectors_of_norm(make_E8(), -4)
 
 
-def test_coeff_bound():
-    with pytest.raises(CapacityError, match="COEFF_BOUND = 1000000"):
+def test_skewed_coordinates_past_1e6():
+    # a unimodular skew of <1> + <1>: its four norm-2 vectors have
+    # coordinates near 10^7, found in a handful of nodes
+    lat = QuadLattice(((1, 10 ** 7), (10 ** 7, 10 ** 14 + 1)))
+    assert vectors_of_norm(lat, 2).vectors == (
+        (-10 ** 7 - 1, 1), (-10 ** 7 + 1, 1), (10 ** 7 - 1, -1),
+        (10 ** 7 + 1, -1))
+
+
+def test_node_budget_bounds_a_wide_range():
+    # <1> at norm 10^14: one level of 2 * 10^7 + 1 values, refused before
+    # any is visited
+    with pytest.raises(CapacityError,
+                       match=f"NODE_BUDGET = {enumeration.NODE_BUDGET} "):
         vectors_of_norm(make_rank1(1), 10 ** 14)
 
 
@@ -115,9 +127,42 @@ def test_isometry_search_verdicts():
     assert is_isometric_definite(make_rank1(2), make_rank1(-2)) is None
     with pytest.raises(DomainError):
         is_isometric_definite(make_U(), make_U())
-    with pytest.raises(CapacityError, match="MAX_ISOMETRY_RANK = 8"):
-        big = direct_sum(make_E8(), make_rank1(-2))
-        is_isometric_definite(big, big)
+    big = direct_sum(make_E8(), make_rank1(-2))
+    g = is_isometric_definite(big, big)
+    assert la.congruence(g, big.gram) == [list(r) for r in big.gram]
+
+
+def test_isometry_search_node_budget(monkeypatch):
+    # A2 to A2: two levels of the six roots, 12 candidate images; the
+    # enumeration of the roots visits 10 coordinate values
+    a2 = QuadLattice(((2, -1), (-1, 2)))
+    monkeypatch.setattr(enumeration, "NODE_BUDGET", 12)
+    assert is_isometric_definite(a2, a2) is not None
+    monkeypatch.setattr(enumeration, "NODE_BUDGET", 11)
+    with pytest.raises(CapacityError,
+                       match="isometry search tries more than "
+                             "NODE_BUDGET = 11 candidate images"):
+        is_isometric_definite(a2, a2)
+
+
+def test_isometry_search_d8_against_e7_a1_is_bounded(monkeypatch):
+    # both even of rank 8 and det 4, not isometric; the search used to run
+    # past 90 s under a rank cap; at the real budget it stops after 2^21
+    # candidate images
+    def cartan(n, edges):
+        g = [[2 * (i == j) for j in range(n)] for i in range(n)]
+        for i, j in edges:
+            g[i][j] = g[j][i] = -1
+        return QuadLattice(g)
+
+    d8 = cartan(8, [(i, i + 1) for i in range(6)] + [(5, 7)])
+    e7_a1 = cartan(8, [(i, i + 1) for i in range(5)] + [(2, 6)])
+    assert d8.det == e7_a1.det == 4
+    assert (len(vectors_of_norm(d8, 2)), len(vectors_of_norm(e7_a1, 2))) == \
+        (112, 128)
+    monkeypatch.setattr(enumeration, "NODE_BUDGET", 20_000)
+    with pytest.raises(CapacityError, match="isometry search .* NODE_BUDGET"):
+        is_isometric_definite(d8, e7_a1)
 
 
 def test_isometry_search_random_pairs():

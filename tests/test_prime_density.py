@@ -124,8 +124,8 @@ def test_sieve_limit():
     # refused before anything is allocated, however large the bound
     for bound in (SIEVE_LIMIT + 1, 10 ** 20):
         with pytest.raises(CapacityError,
-                           match=f"sieve bound {bound} exceeds limit "
-                                 f"{SIEVE_LIMIT}"):
+                           match=f"sieve bound {bound} exceeds "
+                                 f"SIEVE_LIMIT = {SIEVE_LIMIT}"):
             sieve_primes(bound)
         with pytest.raises(CapacityError):
             empirical_density(lambda p: True, bound)
@@ -275,12 +275,26 @@ def test_factorize_prime_powers_against_sympy(p, k, m):
         assert factorize(n) == sorted(sympy.factorint(n).items())
 
 
+def test_rho_step_budget_boundary(monkeypatch):
+    # 1009 * 1013 survives trial division; Brent's rho with c = 1 splits it
+    # in the r = 16 round, after r advance and r batch steps for r = 1, 2,
+    # 4, 8, 16: 62 steps
+    n = 1009 * 1013
+    monkeypatch.setattr("k3lattice.prime_density.RHO_STEP_BUDGET", 62)
+    assert factorize(n) == [(1009, 1), (1013, 1)]
+    monkeypatch.setattr("k3lattice.prime_density.RHO_STEP_BUDGET", 61)
+    with pytest.raises(CapacityError,
+                       match="RHO_STEP_BUDGET = 61 Pollard-Brent steps on a "
+                             "20-bit cofactor"):
+        factorize(n)
+
+
 def test_factorize_beyond_the_rho_budget_raises():
     # two 80-bit primes: rho would need about 2^40 steps
     n = sympy.nextprime(2 ** 79) * sympy.nextprime(2 ** 80)
     start = time.perf_counter()
     with pytest.raises(CapacityError,
-                       match=f"{RHO_STEP_BUDGET} Pollard-Brent steps .* "
-                             f"a 160-bit cofactor"):
+                       match=f"RHO_STEP_BUDGET = {RHO_STEP_BUDGET} "
+                             f"Pollard-Brent steps on a 160-bit cofactor"):
         factorize(n)
     assert time.perf_counter() - start < 30
