@@ -4,9 +4,10 @@ overlattice <-> isotropic-subgroup correspondence.
 The quadratic form on the discriminant group takes values in Q/2Z when the
 ambient lattice is even and in Q/Z otherwise; canonical representatives
 live in [0, 2) resp. [0, 1).  Group elements are integer coordinate tuples
-modulo the invariant factors; q and pair read the k x k table of exact
-generator pairings, and the generators' rational lifts, reduced modulo the
-lattice, serve gluing and the action of isometries.
+modulo the invariant factors; q and pair read the k x k table of generator
+pairings, and the generators' lifts, reduced modulo the lattice, serve
+gluing and the action of isometries.  Both are integers over one
+denominator per form; a Fraction is made only where a value leaves it.
 """
 
 import itertools
@@ -28,11 +29,11 @@ class FiniteQuadraticForm:
     """The finite quadratic form on a discriminant group.
 
     invariant_factors: d_1 | d_2 | ... (each > 1); the group is the product
-    of Z/d_i.  generators: rational lifts g_i of the cyclic generators, in
-    the coordinates of the ambient lattice basis.  table: the exact
-    pairings b_ij = <g_i, g_j> as Fractions; q and pair depend on a lift
-    only modulo the lattice, so they read the table alone.  modulus: 2 for
-    an even ambient lattice, else 1.
+    of Z/d_i.  generators: integer vectors c_i = e * g_i, where e is the
+    exponent and g_i the reduced lift of the i-th cyclic generator in
+    ambient coordinates.  table: T_ij = c_i^T G c_j = e^2 <g_i, g_j>; q
+    and pair depend on a lift only modulo the lattice, so they read the
+    table alone.  modulus: 2 for an even ambient lattice, else 1.
     """
 
     invariant_factors: tuple
@@ -52,9 +53,18 @@ class FiniteQuadraticForm:
         return not self.invariant_factors
 
     @property
+    def exponent(self):
+        return self.invariant_factors[-1] if self.invariant_factors else 1
+
+    @property
     def q_values(self):
         """q of each invariant-factor generator, canonical in [0, modulus)."""
-        return tuple(row[i] % self.modulus for i, row in enumerate(self.table))
+        return tuple(self._value(row[i]) for i, row in enumerate(self.table))
+
+    def _value(self, n):
+        """A table value n, as n / e^2 reduced to [0, modulus)."""
+        e2 = self.exponent ** 2
+        return Fraction(n % (self.modulus * e2), e2)
 
     def reduce(self, x):
         if len(x) != len(self.invariant_factors):
@@ -66,20 +76,20 @@ class FiniteQuadraticForm:
     def lift(self, x):
         """A representative of x in the dual lattice, as a rational vector
         in ambient coordinates (the empty tuple for a trivial form)."""
-        x = self.reduce(x)
-        return tuple(sum(a * c for a, c in zip(x, coords))
+        x, e = self.reduce(x), self.exponent
+        return tuple(Fraction(sum(a * c for a, c in zip(x, coords)), e)
                      for coords in zip(*self.generators))
 
     def q(self, x):
         """Quadratic value of the group element x, reduced to [0, modulus)."""
         x = self.reduce(x)
-        return Fraction(la.vec_mat_vec(x, self.table, x)) % self.modulus
+        return self._value(la.vec_mat_vec(x, self.table, x))
 
     def pair(self, x, y):
         """q(x+y) - q(x) - q(y), reduced to [0, modulus).  This is twice the
         lift pairing and obeys q(x + y) = q(x) + q(y) + pair(x, y)."""
         val = la.vec_mat_vec(self.reduce(x), self.table, self.reduce(y))
-        return (2 * Fraction(val)) % self.modulus
+        return self._value(2 * val)
 
     def add(self, x, y):
         return tuple((a + b) % d for a, b, d in
@@ -116,16 +126,12 @@ def discriminant_group(lat):
     """
     d, t = la.smith_normal_form(lat.gram)
     keep = [i for i in range(lat.rank) if d[i][i] > 1]
-    factors = tuple(d[i][i] for i in keep)
-    cols = [[row[i] % d[i][i] for i in keep] for row in t]
-    table = la.congruence(cols, lat.gram)
+    e = d[keep[-1]][keep[-1]] if keep else 1
+    cols = [[row[i] % d[i][i] * (e // d[i][i]) for i in keep] for row in t]
     return FiniteQuadraticForm(
-        invariant_factors=factors,
-        generators=tuple(tuple(Fraction(row[j], dj) for row in cols)
-                         for j, dj in enumerate(factors)),
-        table=tuple(tuple(Fraction(b, di * dj)
-                          for b, dj in zip(row, factors))
-                    for row, di in zip(table, factors)),
+        invariant_factors=tuple(d[i][i] for i in keep),
+        generators=tuple(map(tuple, zip(*cols))),
+        table=tuple(map(tuple, la.congruence(cols, lat.gram))),
         modulus=2 if is_even(lat) else 1,
     )
 
@@ -142,12 +148,14 @@ def disc_local_part(form, ell):
             # d is now the prime-to-ell cofactor; d*g generates the
             # ell-primary part of this cyclic factor.
             parts.append((i, e, d))
+    # over the local exponent e / s, vectors and table divide exactly by s
+    s = form.exponent // (parts[-1][1] if parts else 1)
     return FiniteQuadraticForm(
         invariant_factors=tuple(e for _, e, _ in parts),
-        generators=tuple(tuple(c * x for x in form.generators[i])
+        generators=tuple(tuple(c * x // s for x in form.generators[i])
                          for i, _, c in parts),
-        table=tuple(tuple(ci * cj * form.table[i][j] for j, _, cj in parts)
-                    for i, _, ci in parts),
+        table=tuple(tuple(ci * cj * form.table[i][j] // (s * s)
+                          for j, _, cj in parts) for i, _, ci in parts),
         modulus=form.modulus,
     )
 
@@ -202,16 +210,12 @@ def overlattice_basis(lat, sub):
     for x in sub.elements:
         if form.q(x) != 0:
             raise StructureError("subgroup is not isotropic")
-    lifts = [form.lift(x) for x in sub.elements if any(x)]
-    denom = 1
-    for v in lifts:
-        for x in v:
-            denom = lcm(denom, x.denominator)
-    rows = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
-    for v in lifts:
-        rows.append([int(x * denom) for x in v])
+    # e times the overlattice, whose HNF is e times the overlattice's HNF
+    e = form.exponent
+    rows = [[e if i == j else 0 for j in range(n)] for i in range(n)]
+    rows += la.mat_mul([x for x in sub.elements if any(x)], form.generators)
     basis = la.hermite_normal_form(rows)
-    return [[Fraction(x, denom) for x in row] for row in basis]
+    return [[Fraction(x, e) for x in row] for row in basis]
 
 
 def overlattice_from_isotropic(lat, sub):
@@ -246,11 +250,12 @@ def acts_trivially_on_disc(lat, g, m):
         raise DomainError("m must be positive")
     form = discriminant_group(lat)
     # m * L^v <= L exactly when the exponent of L^v / L divides m
-    if form.invariant_factors and m % form.invariant_factors[-1]:
+    if m % form.exponent:
         raise DomainError("m does not satisfy m * dual <= lattice")
+    # g fixes the lift c_i / e modulo L exactly when g c_i = c_i mod e
     for gen in form.generators:
-        moved = la.mat_vec(g, list(gen))
-        if any((a - b).denominator != 1 for a, b in zip(moved, gen)):
+        moved = la.mat_vec(g, gen)
+        if any((a - b) % form.exponent for a, b in zip(moved, gen)):
             return False
     return True
 
@@ -298,7 +303,7 @@ def forms_isomorphic(f1, f2):
                 continue
             if f2.q(y) != q1[i]:
                 continue
-            if any(f2.pair(images[j], y) != (2 * f1.table[j][i]) % f1.modulus
+            if any(f2.pair(images[j], y) != f1._value(2 * f1.table[j][i])
                    for j in range(i)):
                 continue
             joined = _join(f2, span, y)

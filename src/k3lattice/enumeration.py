@@ -108,6 +108,10 @@ def is_isometric_definite(l1, l2):
                                 for v in vectors_of_norm(l2, norm).vectors]
         if not candidates[norm]:
             return None
+    # an isometry maps each shell of l1 onto the same shell of l2
+    if any(len(vectors_of_norm(l1, norm)) != len(vs)
+           for norm, vs in candidates.items()):
+        return None
     images = []
     meter = Budget("NODE_BUDGET", NODE_BUDGET, "isometry search tries",
                    "candidate images")

@@ -31,6 +31,13 @@ def test_invariant_factor_product_is_det():
         assert discriminant_group(lat).order == abs(lat.det)
 
 
+def _generator_lifts(form):
+    """The rational lift of each invariant-factor generator."""
+    k = len(form.invariant_factors)
+    return [form.lift(tuple(int(i == j) for j in range(k)))
+            for i in range(k)]
+
+
 def test_disc_generator_contract():
     rng = random.Random(71)
     for _ in range(15):
@@ -38,7 +45,8 @@ def test_disc_generator_contract():
         lat = QuadLattice(random_even_gram(rng, n))
         form = discriminant_group(lat)
         gmat = [list(r) for r in lat.gram]
-        for d, lift in zip(form.invariant_factors, form.generators):
+        lifts = _generator_lifts(form)
+        for d, lift in zip(form.invariant_factors, lifts):
             pairings = la.mat_vec(gmat, list(lift))
             assert all(x.denominator == 1 for x in pairings)  # lift in dual
             assert all((d * x).denominator == 1 for x in lift)
@@ -49,8 +57,8 @@ def test_disc_generator_contract():
         if not form.is_trivial:
             k = [rng.randrange(d) for d in form.invariant_factors]
             if any(k):
-                combo = [sum(ki * gi[t] for ki, gi in
-                             zip(k, form.generators)) for t in range(n)]
+                combo = [sum(ki * gi[t] for ki, gi in zip(k, lifts))
+                         for t in range(n)]
                 assert any(x.denominator != 1 for x in combo)
 
 
@@ -248,6 +256,48 @@ def test_forms_not_isomorphic():
     assert forms_isomorphic(d_plus, d_plus)
 
 
+def test_odd_forms_isomorphic_under_base_change():
+    # modulus-1 forms: an odd Gram and its base change, with local parts
+    rng = random.Random(19)
+    seen = 0
+    while seen < 12:
+        n = rng.randint(1, 3)
+        g = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        g = [[g[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        g[0][0] = 2 * rng.randint(-3, 3) + 1
+        if la.det(g) == 0:
+            continue
+        form = discriminant_group(QuadLattice(g))
+        if form.is_trivial or form.order > 64:
+            continue
+        seen += 1
+        twisted = discriminant_group(QuadLattice(
+            conjugate_gram(g, random_unimodular(n, rng))))
+        assert form.modulus == twisted.modulus == 1
+        assert forms_isomorphic(form, twisted)
+        for ell in (2, 3, 5, 7):
+            if form.order % ell == 0:
+                assert forms_isomorphic(disc_local_part(form, ell),
+                                        disc_local_part(twisted, ell))
+
+
+def test_odd_forms_not_isomorphic():
+    d_plus = discriminant_group(make_rank1(3))
+    d_minus = discriminant_group(make_rank1(-3))
+    assert d_plus.q_values == (Fraction(1, 3),)
+    assert d_minus.q_values == (Fraction(2, 3),)
+    assert not forms_isomorphic(d_plus, d_minus)
+    assert forms_isomorphic(d_minus, d_minus)
+
+
+def test_form_fields_are_integers_over_the_exponent():
+    rng = random.Random(107)
+    for _, form in _small_forms(rng, 30, max_order=10 ** 6):
+        assert form.exponent == (form.invariant_factors or (1,))[-1]
+        for row in form.generators + form.table:
+            assert all(type(x) is int for x in row)
+
+
 def _small_forms(rng, count, max_order=64):
     """(lattice, form) pairs for random even and odd Grams of rank <= 4,
     with the local parts of each form; the odd ones carry an odd rank-1
@@ -305,12 +355,12 @@ def test_table_is_exact_generator_pairing():
 
 
 def test_disc_generators_are_reduced():
-    # each SNF lift t_i/d_i is stored as (t_i mod d_i)/d_i
+    # each SNF lift t_i/d_i is taken as (t_i mod d_i)/d_i
     rng = random.Random(97)
     for _ in range(30):
         g = random_even_gram(rng, rng.randint(1, 4), spread=6)
         form = discriminant_group(QuadLattice(g))
-        for d, lift in zip(form.invariant_factors, form.generators):
+        for d, lift in zip(form.invariant_factors, _generator_lifts(form)):
             assert all(0 <= d * x < d for x in lift)
 
 

@@ -1,5 +1,6 @@
-"""README's table of size limits agrees with the module constants, and
-every limit is enforced through the helpers in errors.py."""
+"""README's table of size limits agrees with the module constants, every
+limit is enforced through the helpers in errors.py, and disc_form.py makes
+a Fraction only where a value leaves a form."""
 
 import ast
 import importlib
@@ -65,3 +66,19 @@ def test_every_limit_goes_through_the_errors_helpers():
     rows = {(module, name) for module, name, _ in
             ROW.findall(README.read_text())}
     assert limits == rows
+
+
+def test_disc_form_makes_fractions_only_at_its_boundary():
+    # forms are stored in integers over their exponent; only the form's
+    # own value methods and the overlattice basis hand out Fractions
+    tree = ast.parse((SRC / "disc_form.py").read_text())
+    allowed = set()
+    for node in tree.body:
+        if (isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                and node.name in {"FiniteQuadraticForm", "overlattice_basis"}):
+            allowed.update(id(sub) for sub in ast.walk(node))
+    names = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "Fraction"]
+    assert any(_called(node, {"Fraction"}) for node in ast.walk(tree))
+    outside = [node.lineno for node in names if id(node) not in allowed]
+    assert not outside, f"Fraction used at disc_form.py lines {outside}"

@@ -145,10 +145,9 @@ def test_isometry_search_node_budget(monkeypatch):
         is_isometric_definite(a2, a2)
 
 
-def test_isometry_search_d8_against_e7_a1_is_bounded(monkeypatch):
-    # both even of rank 8 and det 4, not isometric; the search used to run
-    # past 90 s under a rank cap; at the real budget it stops after 2^21
-    # candidate images
+def test_isometry_search_d8_against_e7_a1_is_bounded():
+    # both even of rank 8 and det 4, not isometric; their root shells
+    # differ in size, so the verdict needs no candidate search
     def cartan(n, edges):
         g = [[2 * (i == j) for j in range(n)] for i in range(n)]
         for i, j in edges:
@@ -160,9 +159,7 @@ def test_isometry_search_d8_against_e7_a1_is_bounded(monkeypatch):
     assert d8.det == e7_a1.det == 4
     assert (len(vectors_of_norm(d8, 2)), len(vectors_of_norm(e7_a1, 2))) == \
         (112, 128)
-    monkeypatch.setattr(enumeration, "NODE_BUDGET", 20_000)
-    with pytest.raises(CapacityError, match="isometry search .* NODE_BUDGET"):
-        is_isometric_definite(d8, e7_a1)
+    assert is_isometric_definite(d8, e7_a1) is None
 
 
 def test_isometry_search_random_pairs():
