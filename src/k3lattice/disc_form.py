@@ -18,6 +18,7 @@ from math import gcd, lcm
 from . import _intlinalg as la
 from .errors import DomainError, StructureError, check_limit
 from .lattice_core import QuadLattice, is_even, is_isometry
+from .prime_density import is_prime
 
 # isotropic_subgroups and forms_isomorphic enumerate the group's elements and
 # raise CapacityError above this order.
@@ -137,7 +138,10 @@ def discriminant_group(lat):
 
 
 def disc_local_part(form, ell):
-    """The ell-primary component, with the restricted quadratic form."""
+    """The ell-primary component, with the restricted quadratic form.
+    Raises DomainError unless ell is prime."""
+    if not is_prime(ell):
+        raise DomainError(f"{ell} is not prime")
     parts = []
     for i, d in enumerate(form.invariant_factors):
         e = 1
@@ -261,11 +265,32 @@ def acts_trivially_on_disc(lat, g, m):
 
 
 def forms_isomorphic(f1, f2):
-    """Brute-force isomorphism test for finite quadratic forms of order at
-    most ``MAX_GROUP_ORDER``.
+    """True iff the finite quadratic forms are isomorphic: they have the
+    same invariant factors, the same modulus and the same sorted multiset
+    of (element order, q) pairs.  Raises CapacityError above
+    ``MAX_GROUP_ORDER``, since the multiset enumerates the group.  The
+    pairs hold x^T T x mod modulus * e^2, which is q(x) over the common
+    denominator e^2.
 
-    Searches for a group isomorphism matching q and the associated pairing
-    on generators, then verifies q on every element.
+    The multiset is a complete invariant:
+    - p-parts.  The elements of p-power order form the p-part, so the
+      multiset splits into one multiset per p-part.  Two forms are
+      isomorphic iff their p-parts are.
+    - Odd p.  The bilinear form b fixes q.  For each k, the sum over
+      p^k x = 0 of exp(2 pi i p^(k-1) q(x)) is a positive count times the
+      Gauss sum of the scale-p^k Jordan block, so its phase gives that
+      block's Legendre class.  The ranks come from the invariant factors.
+      Ranks and classes classify the form (Wall 1963; Nikulin 1979, 1.8).
+    - p = 2, the bilinear form.  The Kawauchi-Kojima invariants are the
+      Gauss sums over 2^k x = 0 of exp(2 pi i 2^(k-1) b(x, x)); with the
+      group they classify b (Kawauchi and Kojima, Algebraic classification
+      of linking pairings on 3-manifolds, Math. Ann. 253, 1980).  For
+      modulus 1, q = b(x, x) mod 1, so the proof ends here.
+    - p = 2, modulus 2.  Two refinements q and q' of one b differ by
+      x -> 2 b(x, c) for some c with 2c = 0.  Their Gauss sums
+      g(q) = sum of exp(pi i q(x)), which are never 0, satisfy
+      g(q') = exp(-pi i q(c)) g(q).  If g(q') = g(q), then q(c) = 0 mod 2,
+      and t(x) = x + 2 b(x, c) c is an isometry of b with q o t = q'.
     """
     if f1.invariant_factors != f2.invariant_factors:
         return False
@@ -273,44 +298,10 @@ def forms_isomorphic(f1, f2):
         return False
     check_limit("MAX_GROUP_ORDER", MAX_GROUP_ORDER, "group of order",
                 f1.order)
-    if f1.is_trivial:
-        return True
-
-    # (order, q) multisets are isomorphism invariants; cheap rejection.
-    profile1 = sorted((f1.element_order(x), f1.q(x)) for x in f1.elements())
-    profile2 = sorted((f2.element_order(x), f2.q(x)) for x in f2.elements())
-    if profile1 != profile2:
-        return False
-
-    factors = f1.invariant_factors
-    k = len(factors)
-    q1 = f1.q_values
-    all2 = list(f2.elements())
-
-    def combine(x, images):
-        return tuple(sum(a * img[j] for a, img in zip(x, images)) % d
-                     for j, d in enumerate(factors))
-
-    def extend(images, span):
-        # span is the subgroup of f2 generated by images
-        i = len(images)
-        if i == k:
-            return all(f2.q(combine(x, images)) == f1.q(x)
-                       for x in f1.elements())
-        expected = len(span) * factors[i]
-        for y in all2:
-            if factors[i] % f2.element_order(y) != 0:
-                continue
-            if f2.q(y) != q1[i]:
-                continue
-            if any(f2.pair(images[j], y) != f1._value(2 * f1.table[j][i])
-                   for j in range(i)):
-                continue
-            joined = _join(f2, span, y)
-            if len(joined) != expected:
-                continue
-            if extend(images + [y], joined):
-                return True
-        return False
-
-    return extend([], {(0,) * k})
+    # both forms enumerate the same elements, so the orders are shared
+    elements = list(f1.elements())
+    orders = [f1.element_order(x) for x in elements]
+    m = f1.modulus * f1.exponent ** 2
+    profiles = [sorted(zip(orders, (la.vec_mat_vec(x, f.table, x) % m
+                                    for x in elements))) for f in (f1, f2)]
+    return profiles[0] == profiles[1]

@@ -230,7 +230,7 @@ class PointedInvariants:
 
     Equality compares the signature, point norm, complement determinant and
     odd-p Jordan data directly, and the 2-primary discriminant forms of the
-    complement up to brute-force isomorphism.
+    complement up to isomorphism.
     """
 
     signature: tuple

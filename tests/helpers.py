@@ -2,15 +2,18 @@
 
 The oracles here are deliberately independent of the package internals:
 the permutation-sum evaluator follows the defining normalized sum over all
-orderings, and the box enumerator scans a provably sufficient coordinate
-box.
+orderings, the box enumerator scans a provably sufficient coordinate box,
+and the form-isomorphism search tries every image of the generators.
 """
 
 import itertools
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
+import sympy
+
 import k3lattice._intlinalg as la
+from k3lattice.disc_form import FiniteQuadraticForm
 
 
 def pair_value(gram, x, y):
@@ -256,6 +259,100 @@ def brute_isotropic_subgroups(form):
         frontier = nxt
     return sorted((tuple(sorted(h)) for h in spans),
                   key=lambda els: (len(els), els))
+
+
+def finite_forms(factors, modulus):
+    """Every well-defined nondegenerate finite quadratic form on the group
+    with the given invariant factors, as tables over the exponent e and with
+    no ambient lattice (each generator is the empty vector).
+
+    The generator g_i of Z/d_i gets q(g_i) = a_i / d_i with a_i taken mod
+    modulus * d_i, where d_i * a_i must be even for modulus 2 (so that
+    q(d_i g_i) = 0); two generators pair to c_ij / min(d_i, d_j) with c_ij
+    taken mod min(d_i, d_j).  A table is kept when no nonzero element of
+    prime order pairs integrally with every generator.
+    """
+    k = len(factors)
+    e = factors[-1] if factors else 1
+    diagonal = [[e * e * a // d for a in range(modulus * d)
+                 if modulus == 1 or d * a % 2 == 0] for d in factors]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    off = [[e * e * c // min(factors[i], factors[j])
+            for c in range(min(factors[i], factors[j]))] for i, j in pairs]
+    primes = {p for d in factors for p in sympy.primefactors(d)}
+    # the elements of prime order p, as coefficient vectors
+    torsion = [x for p in primes for x in itertools.product(
+        *([a * d // p for a in range(p)] if d % p == 0 else [0]
+          for d in factors)) if any(x)]
+    for diag in itertools.product(*diagonal):
+        for values in itertools.product(*off):
+            table = [[0] * k for _ in range(k)]
+            for i in range(k):
+                table[i][i] = diag[i]
+            for (i, j), t in zip(pairs, values):
+                table[i][j] = table[j][i] = t
+            if any(all(sum(a * row[j] for a, row in zip(x, table)) % (e * e)
+                       == 0 for j in range(k)) for x in torsion):
+                continue
+            yield FiniteQuadraticForm(
+                invariant_factors=tuple(factors), generators=((),) * k,
+                table=tuple(map(tuple, table)), modulus=modulus)
+
+
+def brute_forms_isomorphic(f1, f2):
+    """True iff some group isomorphism carries q of f1 to q of f2.
+
+    q(x) is read as the integer x^T T x mod modulus * e^2.  The images of
+    f1's invariant-factor generators are chosen one at a time among f2's
+    elements that the generator's invariant factor kills, with the
+    generator's q and its pairings q(y + z) - q(y) - q(z) with the images
+    chosen before; each image must enlarge their span by its full invariant
+    factor, so a complete choice is an isomorphism.  It is then checked on
+    q of every element.
+    """
+    if (f1.invariant_factors != f2.invariant_factors
+            or f1.modulus != f2.modulus):
+        return False
+    factors = f1.invariant_factors
+    k = len(factors)
+    m = f1.modulus * (factors[-1] if factors else 1) ** 2
+
+    def values(f):
+        return {x: sum(a * t * b for a, row in zip(x, f.table)
+                       for t, b in zip(row, x)) % m for x in f.elements()}
+
+    def pair(q, f, y, z):
+        return (q[f.add(y, z)] - q[y] - q[z]) % m
+
+    q1, q2 = values(f1), values(f2)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    candidates = [[y for y in q2 if q2[y] == q1[u]
+                   and all(d * t % f == 0 for t, f in zip(y, factors))]
+                  for d, u in zip(factors, units)]
+
+    def combine(x, images):
+        return tuple(sum(a * img[j] for a, img in zip(x, images)) % d
+                     for j, d in enumerate(factors))
+
+    def extend(images, span):
+        # span is the subgroup of f2 generated by images
+        i = len(images)
+        if i == k:
+            return all(q2[combine(x, images)] == q1[x] for x in q1)
+        for y in candidates[i]:
+            if any(pair(q2, f2, images[j], y) != pair(q1, f1, units[j],
+                                                      units[i])
+                   for j in range(i)):
+                continue
+            multiples = [tuple(a * t % d for t, d in zip(y, factors))
+                         for a in range(factors[i])]
+            joined = {f2.add(s, c) for s in span for c in multiples}
+            if (len(joined) == len(span) * factors[i]
+                    and extend(images + [y], joined)):
+                return True
+        return False
+
+    return extend([], {(0,) * k})
 
 
 def bisection_interval(target, n, width):

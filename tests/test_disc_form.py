@@ -4,15 +4,16 @@ from fractions import Fraction
 import pytest
 
 import k3lattice._intlinalg as la
-from helpers import (brute_isotropic_subgroups, congruence_isometry_instance,
-                     conjugate_gram, random_even_gram, random_unimodular)
+from helpers import (brute_forms_isomorphic, brute_isotropic_subgroups,
+                     congruence_isometry_instance, conjugate_gram,
+                     finite_forms, random_even_gram, random_unimodular)
 from k3lattice import (CapacityError, DomainError, QuadLattice,
                        StructureError, acts_trivially_on_disc, direct_sum,
                        disc_local_part, discriminant_group,
                        forms_isomorphic, isotropic_subgroups, k3n_lattice,
                        make_E8, make_rank1, make_U,
                        overlattice_from_isotropic, signature, is_even)
-from k3lattice.disc_form import overlattice_basis
+from k3lattice.disc_form import MAX_GROUP_ORDER, overlattice_basis
 
 
 def test_discriminant_group_examples():
@@ -235,6 +236,17 @@ def test_disc_local_part():
     assert part3.q((1,)) == l4.q((2,))
 
 
+def test_disc_local_part_rejects_a_non_prime():
+    # ell = 1 would loop, 0 divide by zero, and 4 or 6 return a part that
+    # is not the primary component
+    form = discriminant_group(direct_sum(make_rank1(12), make_rank1(36)))
+    for ell in (1, 0, -2, 4, 6):
+        with pytest.raises(DomainError, match=f"{ell} is not prime"):
+            disc_local_part(form, ell)
+    with pytest.raises(DomainError):
+        disc_local_part(discriminant_group(make_rank1(8)), 4)
+
+
 def test_forms_isomorphic_under_base_change():
     rng = random.Random(13)
     for _ in range(12):
@@ -242,7 +254,7 @@ def test_forms_isomorphic_under_base_change():
         g = random_even_gram(rng, n)
         lat = QuadLattice(g)
         form = discriminant_group(lat)
-        if form.order > 64:
+        if form.order > 1024:
             continue
         u = random_unimodular(n, rng)
         twisted = discriminant_group(QuadLattice(conjugate_gram(g, u)))
@@ -254,6 +266,60 @@ def test_forms_not_isomorphic():
     d_minus = discriminant_group(make_rank1(-2))
     assert not forms_isomorphic(d_plus, d_minus)
     assert forms_isomorphic(d_plus, d_plus)
+
+
+def test_forms_isomorphic_group_order_limit():
+    at_limit = discriminant_group(make_rank1(MAX_GROUP_ORDER))
+    assert forms_isomorphic(at_limit, at_limit)
+    past = discriminant_group(make_rank1(-MAX_GROUP_ORDER - 1))
+    with pytest.raises(CapacityError,
+                       match=f"group of order {MAX_GROUP_ORDER + 1} exceeds "
+                             f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}"):
+        forms_isomorphic(past, past)
+
+
+def _check_against_the_oracle(forms):
+    """Bucket the forms by their sorted (element order, q) pairs: every form
+    is isomorphic to its bucket's first form, and no two first forms are
+    isomorphic, both by forms_isomorphic and by the exhaustive search.
+    Returns the number of buckets."""
+    buckets = {}
+    for form in forms:
+        key = tuple(sorted((form.element_order(x), form.q(x))
+                           for x in form.elements()))
+        buckets.setdefault(key, []).append(form)
+    firsts = [bucket[0] for bucket in buckets.values()]
+    for first, *rest in buckets.values():
+        for form in rest:
+            assert forms_isomorphic(first, form)
+            assert brute_forms_isomorphic(first, form)
+    for i, f1 in enumerate(firsts):
+        for f2 in firsts[i + 1:]:
+            assert not forms_isomorphic(f1, f2)
+            assert not brute_forms_isomorphic(f1, f2)
+    return len(firsts)
+
+
+ORACLE_GROUPS = [
+    (2,), (4,), (8,), (16,), (2, 2), (2, 4), (4, 4), (2, 8), (4, 8),
+    (2, 2, 2), (2, 2, 4), (2, 4, 8), (2, 2, 8), (3,), (9,), (27,), (3, 3),
+    (3, 9), (5,), (25,), (5, 5), (6,), (12,), (2, 6), (2, 12)]
+
+
+@pytest.mark.parametrize("modulus", [1, 2])
+def test_forms_isomorphic_matches_the_search_on_every_small_form(modulus):
+    classes = {factors: _check_against_the_oracle(
+        finite_forms(factors, modulus)) for factors in ORACLE_GROUPS}
+    # <1/2> and <3/2> differ only in q, not in q mod 1
+    assert classes[(2,)] == modulus
+
+
+def test_forms_isomorphic_matches_the_search_on_sampled_forms():
+    rng = random.Random(113)
+    for factors in [(2, 4, 8), (4, 4, 4), (2, 2, 2, 4)]:
+        for modulus in (1, 2):
+            forms = list(finite_forms(factors, modulus))
+            _check_against_the_oracle(rng.sample(forms, 30))
 
 
 def test_odd_forms_isomorphic_under_base_change():
@@ -268,7 +334,7 @@ def test_odd_forms_isomorphic_under_base_change():
         if la.det(g) == 0:
             continue
         form = discriminant_group(QuadLattice(g))
-        if form.is_trivial or form.order > 64:
+        if form.is_trivial or form.order > 1024:
             continue
         seen += 1
         twisted = discriminant_group(QuadLattice(
