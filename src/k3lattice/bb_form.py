@@ -17,7 +17,7 @@ w(xi, ..., xi, a, b) = c_{n-1} q(a, b) q(xi, xi)^{n-1}.
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, isqrt, lcm
 
 from . import _intlinalg as la
 from .errors import DomainError, InconsistencyError, check_limit
@@ -26,7 +26,7 @@ from .prime_density import _integer_root
 # degree_to_bb isolates an irrational root in an interval this wide.
 INTERVAL_WIDTH = Fraction(1, 10 ** 6)
 
-# symmetrized_power sums over up to (2n)!/(2^n n!) matchings a call, and
+# SymmetrizedPowerForm sums over up to (2n)!/(2^n n!) matchings a call, and
 # recover_form makes O(r^2) calls of its w; both raise CapacityError above
 # this n.
 MAX_POWER_N = 5
@@ -50,48 +50,99 @@ def perfect_matchings(n):
 
 def symmetrized_power(gram, n, args):
     """Evaluate the symmetrized 2n-fold product of the symmetric form
-    ``gram`` on exactly 2n rational vectors, summing over the perfect
-    matchings of the distinct arguments."""
-    _check_n(n)
-    check_limit("MAX_POWER_N", MAX_POWER_N, "n =", n)
-    args = [tuple(Fraction(x) for x in v) for v in args]
-    if len(args) != 2 * n:
-        raise DomainError(f"expected {2 * n} vectors, got {len(args)}")
-    kinds = sorted(set(args))
-    pair = la.congruence(la.transpose(kinds), gram)
-
-    @cache
-    def matched(rest):
-        # the sum over perfect matchings of rest, expanded along rest[0]
-        if not rest:
-            return Fraction(1)
-        return sum(pair[rest[0]][rest[i]] * matched(rest[1:i] + rest[i + 1:])
-                   for i in range(1, len(rest)))
-
-    return matched(tuple(sorted(kinds.index(v) for v in args)))
+    ``gram`` on exactly 2n rational vectors: SymmetrizedPowerForm(gram,
+    n)(args)."""
+    return SymmetrizedPowerForm(gram, n)(args)
 
 
-@dataclass(frozen=True)
 class SymmetrizedPowerForm:
-    """A base form together with the degree of its symmetrization."""
+    """The symmetrized 2n-fold product w of a symmetric rational form,
+    evaluated in integers.
 
-    base_form: tuple
-    degree: int
+    Construction clears one common denominator D of the Gram matrix G.  Each
+    distinct argument v is scaled once by the lcm e_v of its denominators,
+    and the form keeps e_v, the integer vector e_v v and the integer row
+    (D G)(e_v v), keyed by an immutable copy of v.  A call pairs its k
+    distinct arguments with k(k+1)/2 integer dot products, sums over the
+    perfect matchings of the arguments in integers and divides once, by
+    D^n times the product of e_v over all 2n arguments.  The form keeps the
+    rows of every argument it has seen.
+    """
 
-    def __post_init__(self):
-        if self.degree < 1:
-            raise DomainError("degree must be >= 1")
-        g = tuple(tuple(Fraction(x) for x in row) for row in self.base_form)
+    def __init__(self, gram, n):
+        _check_n(n)
+        check_limit("MAX_POWER_N", MAX_POWER_N, "n =", n)
+        g = tuple(tuple(Fraction(x) for x in row) for row in gram)
         if any(len(row) != len(g) for row in g):
             raise DomainError("base form must be square")
         for i in range(len(g)):
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise DomainError("base form must be symmetric")
-        object.__setattr__(self, "base_form", g)
+        self.base_form = g
+        self.degree = n
+        self._den = lcm(*(x.denominator for row in g for x in row))
+        self._gram = [[x.numerator * (self._den // x.denominator)
+                       for x in row] for row in g]
+        self._rows = {}
+        self._seen = {}
+
+    def _row(self, v):
+        """(e_v, e_v v, (D G)(e_v v)) for the argument v."""
+        # A tuple of numbers cannot change, and the form holds every tuple
+        # it has seen, so its id is not reused: a tuple seen before is
+        # found by identity, anything else by the value of a copy.
+        seen = self._seen.get(id(v)) if type(v) is tuple else None
+        if seen is not None:
+            return seen[1]
+        key = tuple(v)
+        row = self._rows.get(key)
+        if row is None:
+            if len(key) != len(self._gram):
+                raise DomainError(f"expected vectors of length "
+                                  f"{len(self._gram)}, got {len(key)}")
+            vec = [Fraction(x) for x in key]
+            e = lcm(*(x.denominator for x in vec))
+            ev = [x.numerator * (e // x.denominator) for x in vec]
+            row = self._rows[key] = (
+                e, ev, [sum(a * b for a, b in zip(g, ev) if b)
+                        for g in self._gram])
+        if type(v) is tuple:
+            self._seen[id(v)] = (v, row)
+        return row
 
     def __call__(self, args):
-        return symmetrized_power(self.base_form, self.degree, args)
+        n = self.degree
+        if len(args) != 2 * n:
+            raise DomainError(f"expected {2 * n} vectors, got {len(args)}")
+        # equal arguments share one row object, so kinds go by its id
+        kinds = {}
+        rows = []
+        idx = []
+        den = self._den ** n
+        for v in args:
+            row = self._row(v)
+            i = kinds.setdefault(id(row), len(rows))
+            if i == len(rows):
+                rows.append(row)
+            idx.append(i)
+            den *= row[0]
+        pair = [[0] * len(rows) for _ in rows]
+        for a, (_, ev, _) in enumerate(rows):
+            for b in range(a, len(rows)):
+                pair[a][b] = pair[b][a] = sum(
+                    x * y for x, y in zip(ev, rows[b][2]))
+
+        @cache
+        def matched(rest):
+            # the sum over perfect matchings of rest, expanded along rest[0]
+            if not rest:
+                return 1
+            return sum(pair[rest[0]][rest[i]] *
+                       matched(rest[1:i] + rest[i + 1:])
+                       for i in range(1, len(rest)))
+
+        return Fraction(matched(tuple(sorted(idx))), den)
 
 
 def recover_form(w, n, xi, xi_norm, basis):

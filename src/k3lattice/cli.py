@@ -21,7 +21,7 @@ from math import prod
 
 from . import __version__
 from . import _intlinalg as la
-from .bb_form import degree_to_bb, recover_form, symmetrized_power
+from .bb_form import SymmetrizedPowerForm, degree_to_bb, recover_form
 from .disc_form import disc_local_part, discriminant_group
 from .enumeration import vectors_of_norm
 from .errors import (Budget, CapacityError, DegenerateLatticeError,
@@ -41,6 +41,11 @@ from .prime_density import (empirical_density, factorize,
 # over its w calls: a call on vectors with supports S_1..S_2n walks
 # |S_1| * ... * |S_2n| tuples.
 W_TUPLE_BUDGET = 30_000
+
+# Vector entries one bb-recover request with q passes to its w, summed over
+# its w calls: a call on 2n vectors of rank r reads 2n * r entries, and a
+# request makes (r + 1)^2 calls (r^2 + 1 + r(r + 1)/2 at n = 1).
+W_ENTRY_BUDGET = 1 << 22
 
 
 def _digit_limit_error(what):
@@ -204,9 +209,13 @@ def cmd_bb_recover(payload):
         if q != la.transpose(q):
             raise InvalidGramError("q must be symmetric")
         xi_norm = la.vec_mat_vec(xi, q, xi)
+        form = SymmetrizedPowerForm(q, n)
+        meter = Budget("W_ENTRY_BUDGET", W_ENTRY_BUDGET,
+                       "bb-recover with q needs", "w argument entries")
 
         def w(vecs):
-            return symmetrized_power(q, n, vecs)
+            meter.charge(sum(map(len, vecs)))
+            return form(vecs)
     elif "w_basis_values" in payload:
         r = len(xi)
         values = _load_w_values(payload["w_basis_values"], n, r)

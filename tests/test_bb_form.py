@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from helpers import (bisection_interval, pair_value,
                      perm_symmetrized_power)
 from k3lattice import (CapacityError, DomainError, InconsistencyError,
-                       degree_to_bb, perfect_matchings, recover_form,
-                       symmetrized_power)
+                       SymmetrizedPowerForm, degree_to_bb, perfect_matchings,
+                       recover_form, symmetrized_power)
 from k3lattice.bb_form import INTERVAL_WIDTH, MAX_DEGREE_N, MAX_POWER_N
 
 
@@ -238,8 +238,102 @@ def test_degree_n_bound():
         degree_to_bb(10, n + 1)
 
 
+# entries with denominators 1..6, so a form's common denominator and each
+# argument's own one differ
+ENTRIES = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def forms_and_vectors(draw, max_n=3, kinds=None):
+    """(gram, n, vectors): a symmetric rank-r form with mixed denominators
+    and distinct vectors to draw arguments from."""
+    n = draw(st.integers(1, max_n))
+    r = draw(st.integers(1, 4))
+    g = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            g[i][j] = g[j][i] = draw(ENTRIES)
+    k = kinds if kinds is not None else draw(st.integers(1, 2 * n))
+    vectors = draw(st.lists(st.tuples(*[ENTRIES] * r), min_size=k,
+                            max_size=k, unique=True))
+    return g, n, vectors
+
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                    max_examples=150)
+
+
+@PROPERTY
+@given(forms_and_vectors(), st.data())
+def test_form_matches_permutation_sum_on_mixed_denominators(case, data):
+    g, n, vectors = case
+    args = [data.draw(st.sampled_from(vectors)) for _ in range(2 * n)]
+    assert SymmetrizedPowerForm(g, n)(args) == \
+        perm_symmetrized_power(g, n, args)
+
+
+@PROPERTY
+@given(forms_and_vectors(), st.data())
+def test_repeated_arguments_as_one_object_or_equal_copies(case, data):
+    g, n, vectors = case
+    picks = [data.draw(st.integers(0, len(vectors) - 1))
+             for _ in range(2 * n)]
+    expect = perm_symmetrized_power(g, n, [vectors[i] for i in picks])
+    form = SymmetrizedPowerForm(g, n)
+    for spell in (lambda v: v, tuple, list):
+        # as tuples, the same objects, then equal tuple and list copies
+        same = [spell(v) for v in vectors]
+        assert form([same[i] for i in picks]) == expect
+        assert form([spell(vectors[i]) for i in picks]) == expect
+    assert SymmetrizedPowerForm(g, n)(
+        [list(vectors[i]) for i in picks]) == expect
+
+
+@PROPERTY
+@given(forms_and_vectors(kinds=2), st.data())
+def test_reused_form_after_a_list_argument_changed(case, data):
+    # a list changed between calls must not be read through the row kept
+    # for its old value; a new value equal to an argument seen before may
+    # share that argument's row
+    g, n, (u, v) = case
+    form = SymmetrizedPowerForm(g, n)
+    arg = list(u)
+    args = [arg] * (2 * n - 1) + [v]
+    assert form(args) == perm_symmetrized_power(g, n, args)
+    for new in (data.draw(st.tuples(*[ENTRIES] * len(u))), v, u):
+        arg[:] = new
+        expect = perm_symmetrized_power(g, n, args)
+        assert form(args) == expect
+        assert form([tuple(x) for x in args]) == expect
+
+
+@PROPERTY
+@given(forms_and_vectors(), st.data())
+def test_int_and_fraction_spellings_give_one_value(case, data):
+    g, n, vectors = case
+    vectors = [tuple(Fraction(x.numerator) for x in v) for v in vectors]
+    picks = [data.draw(st.integers(0, len(vectors) - 1))
+             for _ in range(2 * n)]
+    args = [vectors[i] for i in picks]
+    expect = perm_symmetrized_power(g, n, args)
+    ints = [tuple(int(x) for x in v) for v in args]
+    mixed = [v if t % 2 else ints[t] for t, v in enumerate(args)]
+    form = SymmetrizedPowerForm(g, n)
+    for spelled in (args, ints, mixed):
+        assert form(spelled) == expect
+    int_gram = [[x.numerator for x in row] for row in g]
+    assert SymmetrizedPowerForm(int_gram, n)(ints) == \
+        SymmetrizedPowerForm([[Fraction(x) for x in row]
+                              for row in int_gram], n)(args)
+
+
+def test_form_rejects_vectors_of_the_wrong_length():
+    w = SymmetrizedPowerForm([[2, 1], [1, -4]], 1)
+    with pytest.raises(DomainError, match="length 2"):
+        w([[1, 0], [1, 0, 0]])
+
+
 def test_symmetrized_power_form_wrapper():
-    from k3lattice import SymmetrizedPowerForm
     w = SymmetrizedPowerForm(((2, 1), (1, -4)), 2)
     a = [Fraction(3), Fraction(-2)]
     q = pair_value([[2, 1], [1, -4]], a, a)

@@ -222,6 +222,36 @@ def test_bb_recover_w_budget_counts_every_walk(capsys, monkeypatch, budget,
     assert code == expected
 
 
+@pytest.mark.parametrize("budget, expected", [(72, 0), (71, 3)])
+def test_bb_recover_q_budget_counts_every_entry(capsys, monkeypatch, budget,
+                                                expected):
+    # n = 2 on R^2: two calls for the cross terms, three for q, then
+    # w(xi^4) and three samples, (r + 1)^2 = 9 calls of 4 vectors of 2
+    # entries, 72 in all
+    monkeypatch.setattr(cli, "W_ENTRY_BUDGET", budget)
+    payload = {"n": 2, "xi": ["1", "1"], "q": [["2", "1/2"], ["1/2", "3"]]}
+    code, out, err = run_cli(capsys, monkeypatch, ["bb-recover"], payload)
+    assert code == expected
+    if expected:
+        assert out == ""
+        assert f"W_ENTRY_BUDGET = {budget} w argument entries" in err
+    else:
+        assert json.loads(out)["q"] == payload["q"]
+
+
+def test_bb_recover_q_dense_rank_past_budget_exits_3(capsys, monkeypatch):
+    # a dense rank-110 q at n = 2 makes 111^2 = 12321 calls of 440
+    # entries; the budget stops it at call 9533
+    r = 110
+    q = [[str((i * j) % 7 - 3) for j in range(r)] for i in range(r)]
+    payload = {"n": 2, "xi": ["1"] + ["0"] * (r - 1), "q": q}
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, monkeypatch, ["bb-recover"], payload)
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (3, "")
+    assert f"W_ENTRY_BUDGET = {cli.W_ENTRY_BUDGET}" in err
+
+
 def test_bb_recover_isotropic_xi_is_exit_4(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, monkeypatch, ["bb-recover"],
                          {"n": 2, "xi": ["1", "0"],
