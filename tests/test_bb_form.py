@@ -244,10 +244,10 @@ ENTRIES = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
 
 @st.composite
-def forms_and_vectors(draw, max_n=3, kinds=None):
+def forms_and_vectors(draw, kinds=None):
     """(gram, n, vectors): a symmetric rank-r form with mixed denominators
     and distinct vectors to draw arguments from."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(1, 3))
     r = draw(st.integers(1, 4))
     g = [[Fraction(0)] * r for _ in range(r)]
     for i in range(r):
@@ -280,8 +280,9 @@ def test_repeated_arguments_as_one_object_or_equal_copies(case, data):
              for _ in range(2 * n)]
     expect = perm_symmetrized_power(g, n, [vectors[i] for i in picks])
     form = SymmetrizedPowerForm(g, n)
-    for spell in (lambda v: v, tuple, list):
-        # as tuples, the same objects, then equal tuple and list copies
+    for spell in (lambda v: v, lambda v: tuple(list(v)), list):
+        # the drawn tuples, then new tuples, then lists: one object per
+        # vector repeated, then a new copy at every position
         same = [spell(v) for v in vectors]
         assert form([same[i] for i in picks]) == expect
         assert form([spell(vectors[i]) for i in picks]) == expect
