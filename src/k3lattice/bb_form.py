@@ -14,7 +14,7 @@ and the xi-orthogonal block from
 w(xi, ..., xi, a, b) = c_{n-1} q(a, b) q(xi, xi)^{n-1}.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
 from math import factorial, isqrt, lcm
@@ -55,46 +55,46 @@ def symmetrized_power(gram, n, args):
     return SymmetrizedPowerForm(gram, n)(args)
 
 
+@dataclass(frozen=True)
 class SymmetrizedPowerForm:
-    """The symmetrized 2n-fold product w of a symmetric rational form,
-    evaluated in integers.
+    """The symmetrized 2n-fold product w of a symmetric rational form
+    ``base_form`` with n = ``degree``, evaluated in integers.
 
     Construction clears one common denominator D of the Gram matrix G.  Each
     distinct argument v is scaled once by the lcm e_v of its denominators,
     and the form keeps e_v, the integer vector e_v v and the integer row
-    (D G)(e_v v), keyed by an immutable copy of v.  A call pairs its k
-    distinct arguments with k(k+1)/2 integer dot products, sums over the
-    perfect matchings of the arguments in integers and divides once, by
-    D^n times the product of e_v over all 2n arguments.  The form keeps the
-    rows of every argument it has seen.
+    (D G)(e_v v), keyed by the value of v.  A call pairs its k distinct
+    arguments with k(k+1)/2 integer dot products, sums over the perfect
+    matchings of the arguments in integers and divides once, by D^n times
+    the product of e_v over all 2n arguments.  The form keeps one row per
+    distinct argument value it has seen.
     """
 
-    def __init__(self, gram, n):
-        _check_n(n)
-        check_limit("MAX_POWER_N", MAX_POWER_N, "n =", n)
-        g = tuple(tuple(Fraction(x) for x in row) for row in gram)
+    base_form: tuple
+    degree: int
+    _den: int = field(init=False, repr=False, compare=False)
+    _gram: list = field(init=False, repr=False, compare=False)
+    _rows: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_n(self.degree)
+        check_limit("MAX_POWER_N", MAX_POWER_N, "n =", self.degree)
+        g = tuple(tuple(Fraction(x) for x in row) for row in self.base_form)
         if any(len(row) != len(g) for row in g):
             raise DomainError("base form must be square")
         for i in range(len(g)):
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise DomainError("base form must be symmetric")
-        self.base_form = g
-        self.degree = n
-        self._den = lcm(*(x.denominator for row in g for x in row))
-        self._gram = [[x.numerator * (self._den // x.denominator)
-                       for x in row] for row in g]
-        self._rows = {}
-        self._seen = {}
+        den = lcm(*(x.denominator for row in g for x in row))
+        object.__setattr__(self, "base_form", g)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_gram", [
+            [x.numerator * (den // x.denominator) for x in row] for row in g])
+        object.__setattr__(self, "_rows", {})
 
     def _row(self, v):
         """(e_v, e_v v, (D G)(e_v v)) for the argument v."""
-        # A tuple of numbers cannot change, and the form holds every tuple
-        # it has seen, so its id is not reused: a tuple seen before is
-        # found by identity, anything else by the value of a copy.
-        seen = self._seen.get(id(v)) if type(v) is tuple else None
-        if seen is not None:
-            return seen[1]
         key = tuple(v)
         row = self._rows.get(key)
         if row is None:
@@ -107,12 +107,11 @@ class SymmetrizedPowerForm:
             row = self._rows[key] = (
                 e, ev, [sum(a * b for a, b in zip(g, ev) if b)
                         for g in self._gram])
-        if type(v) is tuple:
-            self._seen[id(v)] = (v, row)
         return row
 
     def __call__(self, args):
         n = self.degree
+        args = tuple(args)
         if len(args) != 2 * n:
             raise DomainError(f"expected {2 * n} vectors, got {len(args)}")
         # equal arguments share one row object, so kinds go by its id

@@ -45,7 +45,7 @@ W_TUPLE_BUDGET = 30_000
 # Vector entries one bb-recover request with q passes to its w, summed over
 # its w calls: a call on 2n vectors of rank r reads 2n * r entries, and a
 # request makes (r + 1)^2 calls (r^2 + 1 + r(r + 1)/2 at n = 1).
-W_ENTRY_BUDGET = 1 << 22
+W_ENTRY_BUDGET = 1 << 21
 
 
 def _digit_limit_error(what):

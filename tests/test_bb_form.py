@@ -265,15 +265,6 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None,
 
 @PROPERTY
 @given(forms_and_vectors(), st.data())
-def test_form_matches_permutation_sum_on_mixed_denominators(case, data):
-    g, n, vectors = case
-    args = [data.draw(st.sampled_from(vectors)) for _ in range(2 * n)]
-    assert SymmetrizedPowerForm(g, n)(args) == \
-        perm_symmetrized_power(g, n, args)
-
-
-@PROPERTY
-@given(forms_and_vectors(), st.data())
 def test_repeated_arguments_as_one_object_or_equal_copies(case, data):
     g, n, vectors = case
     picks = [data.draw(st.integers(0, len(vectors) - 1))
@@ -286,6 +277,8 @@ def test_repeated_arguments_as_one_object_or_equal_copies(case, data):
         same = [spell(v) for v in vectors]
         assert form([same[i] for i in picks]) == expect
         assert form([spell(vectors[i]) for i in picks]) == expect
+    # rows are kept per value, not per argument object
+    assert len(form._rows) == len(set(picks))
     assert SymmetrizedPowerForm(g, n)(
         [list(vectors[i]) for i in picks]) == expect
 
@@ -339,6 +332,13 @@ def test_symmetrized_power_form_wrapper():
     a = [Fraction(3), Fraction(-2)]
     q = pair_value([[2, 1], [1, -4]], a, a)
     assert w([a] * 4) == 3 * q ** 2
+    assert w(iter([a] * 4)) == symmetrized_power(w.base_form, 2,
+                                                 (a for _ in range(4)))
+    same = SymmetrizedPowerForm([[2, 1], [1, -4]], 2)
+    assert same == w and hash(same) == hash(w)
+    assert SymmetrizedPowerForm(((2, 1), (1, -4)), 1) != w
+    with pytest.raises(AttributeError):
+        w.degree = 3
     with pytest.raises(DomainError):
         SymmetrizedPowerForm(((2, 1), (0, -4)), 2)
     with pytest.raises(DomainError):

@@ -241,7 +241,7 @@ def test_bb_recover_q_budget_counts_every_entry(capsys, monkeypatch, budget,
 
 def test_bb_recover_q_dense_rank_past_budget_exits_3(capsys, monkeypatch):
     # a dense rank-110 q at n = 2 makes 111^2 = 12321 calls of 440
-    # entries; the budget stops it at call 9533
+    # entries; the budget stops it at call 4767
     r = 110
     q = [[str((i * j) % 7 - 3) for j in range(r)] for i in range(r)]
     payload = {"n": 2, "xi": ["1"] + ["0"] * (r - 1), "q": q}
