@@ -1,11 +1,12 @@
-"""Exact integer and rational matrix routines.
+"""Exact integer matrix routines.
 
-Everything here works on plain lists/tuples of python ints or Fractions;
-no floating point is used anywhere.
+The products below take lists/tuples of python ints or Fractions; the
+eliminations work on ints only.  No floating point is used anywhere.
+
+Every determinant, signature and Fincke-Pohst factorization in the library
+comes from one fraction-free symmetric elimination (Bareiss, Math. Comp. 22,
+1968), ``symmetric_elimination``.
 """
-
-from fractions import Fraction
-from math import lcm
 
 
 def identity(n):
@@ -39,32 +40,77 @@ def congruence(g, a):
     return mat_mul(transpose(g), mat_mul(a, g))
 
 
-def det(a):
-    """Determinant of a square integer or rational matrix: one common
-    denominator is cleared, then fraction-free Bareiss elimination.  Integer
-    input gives an int."""
-    n = len(a)
-    if n == 0:
-        return 1
-    den = lcm(*(x.denominator for row in a for x in row))
-    m = [[int(x * den) for x in row] for row in a]
-    sign = 1
+def symmetric_elimination(g):
+    """Fraction-free symmetric elimination of a symmetric integer matrix.
+
+    Returns (minors, rows): minors = [D_1, ..., D_r] are the nonzero leading
+    principal minors and rows[k] is the (k+1)-th stage row M, with zeros
+    before its diagonal entry D_(k+1).  With D_0 = 1, the k-th pivot is
+    D_k / D_(k-1), so r is the rank and the signs of D_(k-1) D_k give the
+    inertia.  If no pivot moved, x^T g x = sum_k (M_k x)^2 / (D_(k-1) D_k).
+
+    A pivot is moved or made only where a zero diagonal forces it, which
+    never happens on a definite matrix: a nonzero diagonal entry is swapped
+    in, or else row and column j are added to row and column i.  Both keep
+    the determinant.  Raises ValueError on a non-square or non-symmetric g.
+    """
+    n = len(g)
+    m = [list(row) for row in g]
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    if [list(col) for col in zip(*m)] != m:
+        raise ValueError("matrix must be symmetric")
+    minors = []
+    rows = []
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
+    for k in range(n):
+        top = m[k]
+        if top[k] == 0:
+            # the steps below keep only the upper triangle: restore the
+            # trailing block's lower one before rows and columns move
             for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
+                m[i][k:i] = [row[i] for row in m[k:i]]
+            piv = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
+            if piv is None:
+                # all trailing diagonal zero: find an off-diagonal entry
+                pair = next(((i, j) for i in range(k, n)
+                             for j in range(i + 1, n) if m[i][j] != 0), None)
+                if pair is None:
                     break
-            else:
-                return 0
+                i, j = pair
+                for t in range(k, n):
+                    m[i][t] += m[j][t]
+                for t in range(k, n):
+                    m[t][i] += m[t][j]
+                piv = i
+            m[k], m[piv] = m[piv], m[k]
+            for row in m[k:]:
+                row[k], row[piv] = row[piv], row[k]
+            top = m[k]
+        dk = top[k]
+        # Bareiss step on the upper triangle: each entry becomes a bordered
+        # minor, an exact multiple of the previous pivot minor
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    out = sign * m[n - 1][n - 1]
-    return out if den == 1 else Fraction(out, den ** n)
+            f = top[i]
+            row = m[i]
+            if f:
+                row[i:] = [(x * dk - f * y) // prev
+                           for x, y in zip(row[i:], top[i:])]
+            elif dk != prev:
+                row[i:] = [x * dk // prev for x in row[i:]]
+        minors.append(dk)
+        rows.append([0] * k + top[k:])
+        prev = dk
+    return minors, rows
+
+
+def det(a):
+    """Determinant of a symmetric integer matrix: the last leading minor of
+    its elimination, 0 below full rank and 1 for the empty matrix."""
+    minors, _ = symmetric_elimination(a)
+    if len(minors) < len(a):
+        return 0
+    return minors[-1] if minors else 1
 
 
 def smith_normal_form(a):
@@ -160,25 +206,6 @@ def integer_kernel(a):
     return [[t[i][j] for i in range(n)] for j in range(rank, n)]
 
 
-def rational_inverse(a):
-    """Exact inverse of a square matrix over the rationals."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [row[n:] for row in m]
-
-
 def hermite_normal_form(rows):
     """Canonical row Hermite normal form of the lattice spanned by the
     given integer rows: staircase shape, positive pivots, entries above a
@@ -216,53 +243,3 @@ def hermite_normal_form(rows):
                     m[i] = [a - q * b for a, b in zip(m[i], m[r])]
             r += 1
     return m[:r]
-
-
-def ldl(g):
-    """Exact symmetric elimination g = U^T D U of a symmetric rational
-    matrix: returns the pivots d and the rows c of the unit upper triangular
-    U, so that x^T g x = sum_i d_i (x_i + sum_{j>i} c_ij x_j)^2.
-
-    A pivot is moved or made only where a zero diagonal forces it, which
-    never happens on a definite matrix.  Where it happens, c no longer
-    factors g, but d still gives the inertia: len(d) is the rank, and the
-    signs of d count the positive and negative directions.
-    """
-    n = len(g)
-    a = [[Fraction(x) for x in row] for row in g]
-    d = []
-    c = []
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
-        if piv is None:
-            # all trailing diagonal zero: find an off-diagonal entry
-            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                         if a[i][j] != 0), None)
-            if pair is None:
-                break
-            i, j = pair
-            for t in range(k, n):
-                a[i][t] += a[j][t]
-            for t in range(k, n):
-                a[t][i] += a[t][j]
-            piv = i
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for row in a:
-                row[k], row[piv] = row[piv], row[k]
-        dk = a[k][k]
-        ck = [0] * n
-        ck[k] = 1
-        # Schur complement a[i][j] -= a[i][k] a[k][j] / d_k, which touches
-        # only the rows and columns where row k is nonzero
-        nz = [j for j in range(k + 1, n) if a[k][j] != 0]
-        for j in nz:
-            ck[j] = a[k][j] / dk
-        for i in nz:
-            f = a[k][i]
-            row = a[i]
-            for j in nz:
-                row[j] -= f * ck[j]
-        d.append(dk)
-        c.append(ck)
-    return d, c

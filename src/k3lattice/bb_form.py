@@ -144,15 +144,15 @@ class SymmetrizedPowerForm:
         return Fraction(matched(tuple(sorted(idx))), den)
 
 
-def recover_form(w, n, xi, xi_norm, basis):
+def recover_form(w, n, xi, xi_norm):
     """Recover the unique symmetric form q with q(xi, xi) = xi_norm whose
     symmetrized 2n-fold product is ``w``.
 
-    ``w`` is a callback taking a sequence of 2n rational vectors.  ``basis``
-    must be a basis of the ambient space; the returned Gram matrix is q on
-    it.  InconsistencyError is raised unless w(b_i^{2n-1}, b_j) =
-    c_n q_ii^{n-1} q_ji (at n = 1: unless w is symmetric),
-    w(xi^{2n}) = c_n q(xi, xi)^n and q(xi, xi) = xi_norm.
+    ``w`` is a callback taking a sequence of 2n rational vectors.  The
+    returned Gram matrix is q on the standard basis e_0, ..., e_(r-1) of
+    Q^r, r = len(xi).  InconsistencyError is raised unless
+    w(e_i^{2n-1}, e_j) = c_n q_ii^{n-1} q_ji (at n = 1: unless w is
+    symmetric), w(xi^{2n}) = c_n q(xi, xi)^n and q(xi, xi) = xi_norm.
     """
     _check_n(n)
     check_limit("MAX_POWER_N", MAX_POWER_N, "n =", n)
@@ -160,20 +160,18 @@ def recover_form(w, n, xi, xi_norm, basis):
     if xi_norm == 0:
         raise InconsistencyError("q(xi, xi) must be nonzero to recover q")
     xi = tuple(Fraction(x) for x in xi)
-    basis = [tuple(Fraction(x) for x in v) for v in basis]
-    r = len(basis)
-    if any(len(b) != r for b in basis) or len(xi) != r:
-        raise DomainError("basis must be square and match the vector length")
+    r = len(xi)
+    basis = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
     c_n = perfect_matchings(n)
     c_prev = perfect_matchings(n - 1)
 
     if n == 1:
         q = [[w((basis[i], basis[j])) for j in range(r)] for i in range(r)]
     else:
-        # cross terms q(xi, b_i) from the almost-pure-xi slice
+        # cross terms q(xi, e_i) from the almost-pure-xi slice
         head = (xi,) * (2 * n - 1)
         cross = [w(head + (b,)) / (c_n * xi_norm ** (n - 1)) for b in basis]
-        # xi-orthogonal projections b_i - (q(xi, b_i)/q(xi, xi)) xi
+        # xi-orthogonal projections e_i - (q(xi, e_i)/q(xi, xi)) xi
         proj = [tuple(x - (c / xi_norm) * y for x, y in zip(b, xi))
                 for b, c in zip(basis, cross)]
         head2 = (xi,) * (2 * n - 2)
@@ -185,14 +183,7 @@ def recover_form(w, n, xi, xi_norm, basis):
                 q[i][j] = q[j][i] = qa + cross[i] * cross[j] / xi_norm
     q = [[Fraction(x) for x in row] for row in q]
 
-    cols = [[basis[j][t] for j in range(r)] for t in range(r)]
-    try:
-        inv = la.rational_inverse(cols)
-    except ZeroDivisionError:
-        raise DomainError("basis vectors are linearly dependent")
-    xi_coords = tuple(sum(inv[i][t] * xi[t] for t in range(r))
-                      for i in range(r))
-    xi_q = la.vec_mat_vec(xi_coords, q, xi_coords)
+    xi_q = la.vec_mat_vec(xi, q, xi)
     samples = [((xi,) * (2 * n), c_n * xi_q ** n)]
     # q_ji, not q_ij: at n = 1 this checks that w is symmetric
     for i in range(r):

@@ -238,9 +238,7 @@ def cmd_bb_recover(payload):
     else:
         raise InvalidGramError("payload needs 'degree', 'q' or "
                                "'w_basis_values'")
-    basis = [[Fraction(int(i == j)) for j in range(len(xi))]
-             for i in range(len(xi))]
-    rec = recover_form(w, n, xi, xi_norm, basis)
+    rec = recover_form(w, n, xi, xi_norm)
     return {"q": rec}
 
 

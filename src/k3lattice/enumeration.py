@@ -4,7 +4,7 @@ classification routines with explicit witnesses.
 """
 
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import _intlinalg as la
@@ -36,9 +36,10 @@ def vectors_of_norm(lat, m):
     Complete (the backtracking bounds are intrinsic); ``NODE_BUDGET`` caps
     the coordinate values the search visits.
     """
-    d, c = la.ldl(lat.gram)
-    sign = 1 if d[0] > 0 else -1
-    if any(sign * x < 0 for x in d):
+    minors, rows = la.symmetric_elimination(lat.gram)
+    sign = 1 if minors[0] > 0 else -1
+    prev = [1] + minors
+    if any(sign * p * d < 0 for p, d in zip(prev, minors)):
         raise DomainError("lattice is not definite")
     n = lat.rank
     target = sign * m
@@ -46,15 +47,16 @@ def vectors_of_norm(lat, m):
         return VectorSet(m, ())
     if target == 0:
         return VectorSet(m, ((0,) * n,))
-    # Scale once to integers: with e_i the lcm of the denominators in row i
-    # of c and a_ij = e_i c_ij, den <x, x> = sum_i w_i (e_i x_i + s_i)^2,
-    # where s_i = sum_{j>i} a_ij x_j and w_i = den sign d_i / e_i^2.
-    e = [lcm(*(c[i][j].denominator for j in range(i + 1, n)))
-         for i in range(n)]
-    a = [[int(c[i][j] * e[i]) for j in range(n)] for i in range(n)]
-    q = [sign * d[i] / e[i] ** 2 for i in range(n)]
-    den = lcm(*(x.denominator for x in q))
-    w = [int(x * den) for x in q]
+    # Integer factors from the elimination: with D_i its minors, M_i its
+    # stage rows and h_i = sign(D_i) gcd(M_i), e_i = D_i / h_i and
+    # a_ij = M_ij / h_i give den <x, x> = sum_i w_i (e_i x_i + s_i)^2, where
+    # s_i = sum_{j>i} a_ij x_j and w_i / den = h_i^2 / (sign D_(i-1) D_i).
+    h = [gcd(*row) if d > 0 else -gcd(*row) for d, row in zip(minors, rows)]
+    e = [d // hk for d, hk in zip(minors, h)]
+    a = [[x // hk for x in row] for hk, row in zip(h, rows)]
+    pd = [sign * p * d for p, d in zip(prev, minors)]
+    den = lcm(*(pk // gcd(hk * hk, pk) for hk, pk in zip(h, pd)))
+    w = [hk * hk * den // pk for hk, pk in zip(h, pd)]
     found = []
     x = [0] * n
     meter = Budget("NODE_BUDGET", NODE_BUDGET, "enumeration visits",

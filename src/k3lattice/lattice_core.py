@@ -13,11 +13,19 @@ from . import _intlinalg as la
 from .errors import DegenerateLatticeError, DomainError, InvalidGramError
 
 
+def _integral(values, error):
+    """The values as a tuple of ints; raises ``error`` unless each one is an
+    integer."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        bad = next(x for x, i in zip(values, ints) if x != i)
+        raise error(f"entry {bad} is not an integer")
+    return ints
+
+
 def _freeze_gram(gram):
-    rows = []
-    for row in gram:
-        rows.append(tuple(int(x) for x in row))
-    return tuple(rows)
+    return tuple(_integral(row, InvalidGramError) for row in gram)
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,9 @@ class PointedLattice:
 
 
 def as_vector(v, rank=None):
-    """Normalize a vector to a tuple of ints, checking length if given."""
-    vec = tuple(int(x) for x in v)
+    """Normalize a vector to a tuple of ints, checking that its entries are
+    integers and, if given, its length."""
+    vec = _integral(v, DomainError)
     if rank is not None and len(vec) != rank:
         raise DomainError(f"vector has length {len(vec)}, expected {rank}")
     return vec
@@ -170,6 +179,9 @@ def orthogonal_complement(lat, v):
     v = as_vector(v, lat.rank)
     if all(x == 0 for x in v):
         raise DomainError("cannot take the complement of the zero vector")
+    if lat.rank == 1:
+        raise DomainError("the orthogonal complement of a vector in a "
+                          "rank-1 lattice is zero")
     constraint = [la.mat_vec(lat.gram, v)]
     b = la.integer_kernel(constraint)  # rows
     g = la.congruence(la.transpose(b), lat.gram)
@@ -183,9 +195,10 @@ def orthogonal_complement(lat, v):
 
 def signature(lat):
     """(positive, negative) inertia of the rational quadratic space."""
-    d, _ = la.ldl(lat.gram)
-    pos = sum(1 for x in d if x > 0)
-    return pos, len(d) - pos
+    minors, _ = la.symmetric_elimination(lat.gram)
+    # the k-th pivot D_k / D_(k-1) is positive iff the two minors agree
+    pos = sum(1 for a, b in zip([1] + minors, minors) if (a > 0) == (b > 0))
+    return pos, len(minors) - pos
 
 
 def is_even(lat):
@@ -194,9 +207,13 @@ def is_even(lat):
 
 
 def is_isometry(lat, g):
-    """True iff g^T G g = G for the lattice's Gram G."""
-    m = [list(map(int, row)) for row in g]
-    if len(m) != lat.rank or any(len(r) != lat.rank for r in m):
+    """True iff g is an integer matrix with g^T G g = G for the lattice's
+    Gram G."""
+    try:
+        m = [as_vector(row, lat.rank) for row in g]
+    except DomainError:
+        return False
+    if len(m) != lat.rank:
         return False
     return la.congruence(m, lat.gram) == [list(row) for row in lat.gram]
 

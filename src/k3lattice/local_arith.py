@@ -100,12 +100,13 @@ def _block_split(gram, p):
             swap(k, i)
             swap(k + 1, j)
             b = [[a[k][k], a[k][k + 1]], [a[k + 1][k], a[k + 1][k + 1]]]
-            binv = la.rational_inverse(b)
+            d = b[0][0] * b[1][1] - b[0][1] * b[1][0]
             for t in range(k + 2, n):
+                # (f0, f1) = -(c0, c1) b^-1, with b^-1 in closed form
                 c0 = a[t][k]
                 c1 = a[t][k + 1]
-                f0 = -(c0 * binv[0][0] + c1 * binv[1][0])
-                f1 = -(c0 * binv[0][1] + c1 * binv[1][1])
+                f0 = (c1 * b[1][0] - c0 * b[1][1]) / d
+                f1 = (c0 * b[0][1] - c1 * b[0][0]) / d
                 if f0 != 0:
                     add_to(t, k, f0)
                 if f1 != 0:
@@ -312,20 +313,19 @@ def artin_invariant(lat, p):
     sigma = rank1 // 2
 
     def assemble(vecs, divide):
-        # one congruence on the integer columns D * vecs
+        # one congruence on the integer columns D * vecs; the block g / scale
+        # is p-unimodular iff v_p(det g) = rank * v_p(scale)
         den = lcm(*(x.denominator for vec in vecs for x in vec))
         cols = la.transpose([[int(x * den) for x in vec] for vec in vecs])
         scale = den * den * divide
         g = la.congruence(cols, lat.gram)
+        assert _val(la.det(g), p) == len(vecs) * _val(scale, p), \
+            "witness block is not p-unimodular"
         return tuple(vecs), tuple(tuple(Fraction(x, scale) for x in row)
                                   for row in g)
 
     t1_basis, t1_gram = assemble(groups[0], 1)
     t0_basis, t0_gram = assemble(groups[1], p)
-    for g in (t1_gram, t0_gram):
-        if g:
-            dv = _val(la.det(g), p)
-            assert dv == 0, "witness block is not p-unimodular"
     return ArtinResult(
         prime=p,
         sigma=sigma,

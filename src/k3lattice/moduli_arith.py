@@ -11,8 +11,8 @@ from typing import NamedTuple
 from . import _intlinalg as la
 from .bb_form import degree_to_bb, perfect_matchings
 from .errors import DomainError, InconsistencyError
-from .lattice_core import (QuadLattice, as_vector, direct_sum, make_E8,
-                           make_U, orthogonal_complement)
+from .lattice_core import (QuadLattice, _freeze_gram, as_vector, direct_sum,
+                           make_E8, make_U, orthogonal_complement)
 from .local_arith import _val
 from .prime_density import is_prime
 
@@ -26,7 +26,7 @@ class MukaiVector:
     s: int
 
     def __post_init__(self):
-        object.__setattr__(self, "c1", tuple(int(x) for x in self.c1))
+        object.__setattr__(self, "c1", as_vector(self.c1))
 
 
 def mukai_pairing(v, w, ns):
@@ -232,8 +232,8 @@ class FrobeniusPairingInstance:
     prime: int
 
     def __post_init__(self):
-        f = tuple(tuple(int(x) for x in row) for row in self.frobenius)
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        f = tuple(as_vector(row) for row in self.frobenius)
+        g = _freeze_gram(self.gram)
         n = len(g)
         if any(len(row) != n for row in g) or len(f) != n or \
                 any(len(row) != n for row in f):

@@ -36,10 +36,21 @@ def perm_symmetrized_power(gram, n, args):
     return total / (factorial(n) * 2 ** n)
 
 
+def sympy_det(a):
+    """Exact determinant of a square integer or rational matrix, by sympy."""
+    d = sympy.Matrix(len(a), len(a), [x for row in a for x in row]).det()
+    return Fraction(int(d.p), int(d.q))
+
+
+def sympy_inverse(a):
+    """Exact inverse of a nonsingular square matrix, by sympy."""
+    return sympy.Matrix(a).inv().tolist()
+
+
 def sufficient_box(gram, m):
     """A coordinate bound B such that every x with x^T gram x = m has
     |x_i| <= B, for positive definite gram: |x_i| <= sqrt(m (gram^-1)_ii)."""
-    ginv = la.rational_inverse(gram)
+    ginv = sympy_inverse(gram)
     n = len(gram)
     return 1 + max(isqrt(int(abs(m) * ginv[i][i]) + 1) for i in range(n))
 
@@ -164,7 +175,7 @@ def congruence_isometry_instance(rng, extra_rank=2):
             a[partner] = 0
             iso = la.mat_mul(iso, transvection_matrix(g0, e, a))
         u = random_unimodular(rank, rng, steps=5, size=1)
-        uinv = [[int(x) for x in row] for row in la.rational_inverse(u)]
+        uinv = [[int(x) for x in row] for row in sympy_inverse(u)]
         gram = conjugate_gram(g0, u)
         gmat = la.mat_mul(uinv, la.mat_mul(iso, u))
         return gram, gmat, m
@@ -221,7 +232,7 @@ def isometry_with_gram_instance(rng, rank=5):
             swap[i][half + i] = 1
             swap[half + i][i] = 1
         u = random_unimodular(2 * half, rng, steps=5, size=1)
-        uinv = [[int(x) for x in row] for row in la.rational_inverse(u)]
+        uinv = [[int(x) for x in row] for row in sympy_inverse(u)]
         gram = conjugate_gram(g0, u)
         iso = la.mat_mul(uinv, la.mat_mul(swap, u))
         return gram, iso

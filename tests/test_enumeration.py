@@ -4,7 +4,7 @@ import pytest
 
 import k3lattice._intlinalg as la
 from helpers import (box_vectors, conjugate_gram, random_unimodular,
-                     sufficient_box)
+                     sufficient_box, sympy_det)
 from k3lattice import (CapacityError, DomainError, QuadLattice, direct_sum,
                        enumeration, find_vector_norm_prime_to_p, inner_product,
                        is_isometric_definite, make_E8, make_rank1, make_U,
@@ -49,7 +49,7 @@ def test_agreement_with_box_enumeration():
     while done < 40:
         n = rng.randint(1, 4)
         b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        if la.det(b) == 0:
+        if sympy_det(b) == 0:
             continue
         g = la.mat_mul(la.transpose(b), b)
         if max(max(abs(x) for x in row) for row in g) > 36:
@@ -168,7 +168,7 @@ def test_isometry_search_random_pairs():
     while done < 10:
         n = rng.randint(2, 4)
         b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        if la.det(b) == 0:
+        if sympy_det(b) == 0:
             continue
         g = la.mat_mul(la.transpose(b), b)
         lat = QuadLattice(g)

@@ -1,13 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 import k3lattice._intlinalg as la
-from helpers import conjugate_gram, random_even_gram, random_unimodular
+from helpers import (conjugate_gram, random_even_gram, random_unimodular,
+                     sympy_inverse)
 from k3lattice import (DegenerateLatticeError, DomainError, QuadLattice,
-                       direct_sum, discriminant_group, inner_product,
-                       is_even, is_primitive, k3n_lattice, make_E8,
-                       make_rank1, make_U, orthogonal_complement, signature)
+                       as_vector, direct_sum, discriminant_group,
+                       inner_product, is_even, is_isometry, is_primitive,
+                       k3n_lattice, make_E8, make_rank1, make_U,
+                       orthogonal_complement, signature)
 from k3lattice.errors import InvalidGramError
 
 
@@ -57,6 +60,18 @@ def test_gram_validation():
         QuadLattice(((0, 1),))
     with pytest.raises(DegenerateLatticeError):
         QuadLattice(((1, 1), (1, 1)))
+
+
+def test_non_integral_input_is_refused():
+    # nothing truncates: 5/2 does not become 2, nor 0.7 become 0
+    with pytest.raises(InvalidGramError, match="5/2 is not an integer"):
+        QuadLattice([[Fraction(5, 2)]])
+    with pytest.raises(DomainError, match="0.7 is not an integer"):
+        as_vector([0.7, 1])
+    assert as_vector([Fraction(4, 2), 1.0]) == (2, 1)
+    two = direct_sum(make_rank1(2), make_rank1(2))
+    assert not is_isometry(two, [[Fraction(3, 2), 0], [0, 1]])
+    assert is_isometry(two, [[0, Fraction(1)], [1, 0]])
 
 
 def test_direct_sum_det_and_signature():
@@ -111,6 +126,11 @@ def test_orthogonal_complement_hyperbolic():
     comp, basis = orthogonal_complement(make_U(), (1, 1))
     assert comp.gram == ((-2,),)
     assert basis in (((1, -1),), ((-1, 1),))
+
+
+def test_orthogonal_complement_rank1_is_zero():
+    with pytest.raises(DomainError, match="complement .* is zero"):
+        orthogonal_complement(make_rank1(2), (1,))
 
 
 def test_orthogonal_complement_isotropic_degenerate():
@@ -175,7 +195,7 @@ def test_invariants_under_base_change():
         v = [rng.randint(-3, 3) for _ in range(n)]
         if all(x == 0 for x in v):
             v[0] = 1
-        uinv = la.rational_inverse(u)
+        uinv = sympy_inverse(u)
         w = [int(x) for x in la.mat_vec(uinv, v)]
         assert is_primitive(lat, v) == is_primitive(twisted, w)
 
@@ -191,7 +211,6 @@ def test_pointed_lattice_validation():
 
 
 def test_is_isometry():
-    from k3lattice import is_isometry
     u = make_U()
     assert is_isometry(u, ((0, 1), (1, 0)))
     assert is_isometry(u, ((-1, 0), (0, -1)))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import k3lattice._intlinalg as la
 from helpers import (conjugate_gram, pointed_isometry_search,
-                     random_even_gram, random_unimodular)
+                     random_even_gram, random_unimodular, sympy_det)
 from k3lattice import (DomainError, QuadLattice, StructureError,
                        UnverifiedHypothesisWarning, artin_invariant,
                        direct_sum, is_selfdual_at_p, jordan_decomposition,
@@ -231,7 +231,6 @@ def test_artin_witness_blocks():
 
 
 def test_block_split_is_congruence():
-    from k3lattice._intlinalg import det as _fraction_det
     rng = random.Random(59)
     for p in (2, 3, 5):
         for _ in range(15):
@@ -248,7 +247,7 @@ def test_block_split_is_congruence():
                             assert _val(Fraction(x), p) >= 0
             # the new basis must be p-integral with p-unit determinant and
             # carry exactly the reported orthogonal blocks
-            assert _val(_fraction_det(vecs), p) == 0
+            assert _val(sympy_det(vecs), p) == 0
             full = [[la.vec_mat_vec(x, g, y) for y in vecs] for x in vecs]
             for start, scale, block in offsets:
                 r = len(block)
@@ -257,7 +256,7 @@ def test_block_split_is_congruence():
                         expect = block[i][j - start] \
                             if start <= j < start + r else 0
                         assert full[start + i][j] == expect
-                assert _val(_fraction_det(block), p) == scale * r
+                assert _val(sympy_det(block), p) == scale * r
 
 
 # property tests stay deterministic so that tier-1 runs are reproducible

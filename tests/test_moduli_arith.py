@@ -16,6 +16,7 @@ from k3lattice import (DomainError, FrobeniusPairingInstance, MukaiVector,
                        k3n_lattice, make_rank1, mukai_lattice, mukai_pairing,
                        mukai_perp_disc_check, newton_polygon,
                        orthogonal_complement, signature)
+from k3lattice.errors import InvalidGramError
 from k3lattice.moduli_arith import hilbert_scheme_vector
 
 
@@ -296,3 +297,16 @@ def test_crystal_pairing_validation():
         FrobeniusPairingInstance(((1, 0),), ((2,),) * 2, 5)
     with pytest.raises(DomainError):
         FrobeniusPairingInstance(((1, 1), (1, 1)), ((1, 1), (1, 1)), 5)
+    # non-integral entries are refused, not truncated
+    with pytest.raises(DomainError, match="1/2 is not an integer"):
+        FrobeniusPairingInstance(((Fraction(1, 2), 0), (0, 1)),
+                                 ((0, 1), (1, 0)), 5)
+    with pytest.raises(InvalidGramError, match="3/2 is not an integer"):
+        FrobeniusPairingInstance(((1, 0), (0, 1)),
+                                 ((0, Fraction(3, 2)), (Fraction(3, 2), 0)),
+                                 5)
+
+
+def test_mukai_vector_refuses_non_integral_c1():
+    with pytest.raises(DomainError, match="1/2 is not an integer"):
+        MukaiVector(1, (Fraction(1, 2),), 0)
