@@ -5,7 +5,8 @@ eliminations work on ints only.  No floating point is used anywhere.
 
 Every determinant, signature and Fincke-Pohst factorization in the library
 comes from one fraction-free symmetric elimination (Bareiss, Math. Comp. 22,
-1968), ``symmetric_elimination``.
+1968), ``symmetric_elimination``, which a QuadLattice runs once and keeps.
+Every square-and-symmetric check is ``check_symmetric``.
 """
 
 
@@ -40,6 +41,16 @@ def congruence(g, a):
     return mat_mul(transpose(g), mat_mul(a, g))
 
 
+def check_symmetric(m, error, what):
+    """Raise ``error("<what> must be square")`` unless every row of m has
+    len(m) entries, and ``error("<what> must be symmetric")`` unless m equals
+    its transpose."""
+    if any(len(row) != len(m) for row in m):
+        raise error(f"{what} must be square")
+    if list(zip(*m)) != list(map(tuple, m)):
+        raise error(f"{what} must be symmetric")
+
+
 def symmetric_elimination(g):
     """Fraction-free symmetric elimination of a symmetric integer matrix.
 
@@ -54,12 +65,9 @@ def symmetric_elimination(g):
     in, or else row and column j are added to row and column i.  Both keep
     the determinant.  Raises ValueError on a non-square or non-symmetric g.
     """
+    check_symmetric(g, ValueError, "matrix")
     n = len(g)
     m = [list(row) for row in g]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    if [list(col) for col in zip(*m)] != m:
-        raise ValueError("matrix must be symmetric")
     minors = []
     rows = []
     prev = 1
@@ -108,9 +116,7 @@ def det(a):
     """Determinant of a symmetric integer matrix: the last leading minor of
     its elimination, 0 below full rank and 1 for the empty matrix."""
     minors, _ = symmetric_elimination(a)
-    if len(minors) < len(a):
-        return 0
-    return minors[-1] if minors else 1
+    return (minors or [1])[-1] if len(minors) == len(a) else 0
 
 
 def smith_normal_form(a):

@@ -80,12 +80,7 @@ class SymmetrizedPowerForm:
         _check_n(self.degree)
         check_limit("MAX_POWER_N", MAX_POWER_N, "n =", self.degree)
         g = tuple(tuple(Fraction(x) for x in row) for row in self.base_form)
-        if any(len(row) != len(g) for row in g):
-            raise DomainError("base form must be square")
-        for i in range(len(g)):
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise DomainError("base form must be symmetric")
+        la.check_symmetric(g, DomainError, "base form")
         den = lcm(*(x.denominator for row in g for x in row))
         object.__setattr__(self, "base_form", g)
         object.__setattr__(self, "_den", den)

@@ -44,7 +44,10 @@ W_TUPLE_BUDGET = 30_000
 
 # Vector entries one bb-recover request with q passes to its w, summed over
 # its w calls: a call on 2n vectors of rank r reads 2n * r entries, and a
-# request makes (r + 1)^2 calls (r^2 + 1 + r(r + 1)/2 at n = 1).
+# request makes (r + 1)^2 calls (r^2 + 1 + r(r + 1)/2 at n = 1).  The calls'
+# vectors are made from xi and q, and they multiply integers of about the
+# bits of q's common denominator D plus those of the largest entry of q or
+# xi: each entry counts once per 64-bit word of that size.
 W_ENTRY_BUDGET = 1 << 21
 
 
@@ -204,17 +207,19 @@ def cmd_bb_recover(payload):
     xi = _array(payload["xi"], "xi", _frac)
     if "q" in payload:
         q = _array(payload["q"], "q", lambda row: _array(row, "q", _frac))
-        if len(q) != len(xi) or any(len(r) != len(q) for r in q):
-            raise InvalidGramError("q must be square and match xi")
-        if q != la.transpose(q):
-            raise InvalidGramError("q must be symmetric")
+        la.check_symmetric(q, InvalidGramError, "q")
+        if len(q) != len(xi):
+            raise InvalidGramError("q must have one row per entry of xi")
         xi_norm = la.vec_mat_vec(xi, q, xi)
         form = SymmetrizedPowerForm(q, n)
         meter = Budget("W_ENTRY_BUDGET", W_ENTRY_BUDGET,
                        "bb-recover with q needs", "w argument entries")
+        words = 1 + (form._den.bit_length() + max(
+            (x.numerator.bit_length() + x.denominator.bit_length()
+             for row in q + [xi] for x in row), default=0)) // 64
 
         def w(vecs):
-            meter.charge(sum(map(len, vecs)))
+            meter.charge(sum(map(len, vecs)) * words)
             return form(vecs)
     elif "w_basis_values" in payload:
         r = len(xi)

@@ -36,25 +36,26 @@ def vectors_of_norm(lat, m):
     Complete (the backtracking bounds are intrinsic); ``NODE_BUDGET`` caps
     the coordinate values the search visits.
     """
-    minors, rows = la.symmetric_elimination(lat.gram)
-    sign = 1 if minors[0] > 0 else -1
-    prev = [1] + minors
-    if any(sign * p * d < 0 for p, d in zip(prev, minors)):
+    pos, neg = signature(lat)
+    if pos and neg:
         raise DomainError("lattice is not definite")
+    sign = 1 if pos else -1
     n = lat.rank
     target = sign * m
     if target < 0:
         return VectorSet(m, ())
     if target == 0:
         return VectorSet(m, ((0,) * n,))
-    # Integer factors from the elimination: with D_i its minors, M_i its
+    # Integer factors from the elimination the lattice keeps, in which no
+    # pivot of a definite Gram matrix moves: with D_i its minors, M_i its
     # stage rows and h_i = sign(D_i) gcd(M_i), e_i = D_i / h_i and
     # a_ij = M_ij / h_i give den <x, x> = sum_i w_i (e_i x_i + s_i)^2, where
     # s_i = sum_{j>i} a_ij x_j and w_i / den = h_i^2 / (sign D_(i-1) D_i).
+    minors, rows = lat._elimination
     h = [gcd(*row) if d > 0 else -gcd(*row) for d, row in zip(minors, rows)]
     e = [d // hk for d, hk in zip(minors, h)]
     a = [[x // hk for x in row] for hk, row in zip(h, rows)]
-    pd = [sign * p * d for p, d in zip(prev, minors)]
+    pd = [sign * p * d for p, d in zip([1] + minors, minors)]
     den = lcm(*(pk // gcd(hk * hk, pk) for hk, pk in zip(h, pd)))
     w = [hk * hk * den // pk for hk, pk in zip(h, pd)]
     found = []

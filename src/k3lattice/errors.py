@@ -49,7 +49,7 @@ class Budget:
 
 class InconsistencyError(LatticeError):
     """Input data is internally inconsistent (e.g. samples not generated by
-    any symmetric form, or a degenerate distinguished vector)."""
+    any symmetric form, or a claimed q(xi, xi) that they contradict)."""
 
 
 class UnverifiedHypothesisWarning(UserWarning):

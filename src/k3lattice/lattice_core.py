@@ -39,23 +39,19 @@ class QuadLattice:
 
     gram: tuple
     summands: tuple = field(default=None, compare=False)
+    # (minors, stage rows) of the Gram matrix's symmetric elimination
+    _elimination: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = _freeze_gram(self.gram)
-        n = len(g)
-        if n == 0:
+        if not g:
             raise InvalidGramError("Gram matrix must be non-empty")
-        if any(len(row) != n for row in g):
-            raise InvalidGramError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise InvalidGramError("Gram matrix must be symmetric")
-        object.__setattr__(self, "gram", g)
-        d = la.det(g)
-        if d == 0:
+        la.check_symmetric(g, InvalidGramError, "Gram matrix")
+        minors, rows = la.symmetric_elimination(g)
+        if len(minors) < len(g):
             raise DegenerateLatticeError("Gram matrix is degenerate")
-        object.__setattr__(self, "_det", d)
+        object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "_elimination", (minors, rows))
         if self.summands is not None:
             object.__setattr__(self, "summands", tuple(self.summands))
 
@@ -65,7 +61,7 @@ class QuadLattice:
 
     @property
     def det(self):
-        return self._det
+        return self._elimination[0][-1]
 
     def __repr__(self):
         return f"QuadLattice(rank={self.rank}, det={self.det})"
@@ -195,7 +191,7 @@ def orthogonal_complement(lat, v):
 
 def signature(lat):
     """(positive, negative) inertia of the rational quadratic space."""
-    minors, _ = la.symmetric_elimination(lat.gram)
+    minors = lat._elimination[0]
     # the k-th pivot D_k / D_(k-1) is positive iff the two minors agree
     pos = sum(1 for a, b in zip([1] + minors, minors) if (a > 0) == (b > 0))
     return pos, len(minors) - pos

@@ -234,15 +234,10 @@ class FrobeniusPairingInstance:
     def __post_init__(self):
         f = tuple(as_vector(row) for row in self.frobenius)
         g = _freeze_gram(self.gram)
-        n = len(g)
-        if any(len(row) != n for row in g) or len(f) != n or \
-                any(len(row) != n for row in f):
-            raise DomainError("matrices must be square and of equal size")
-        for i in range(n):
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise DomainError("pairing must be symmetric")
-        if la.det([list(r) for r in g]) == 0:
+        la.check_symmetric(g, DomainError, "pairing")
+        if len(f) != len(g) or any(len(row) != len(g) for row in f):
+            raise DomainError("frobenius must have the pairing's size")
+        if la.det(g) == 0:
             raise DomainError("pairing must be nondegenerate")
         object.__setattr__(self, "frobenius", f)
         object.__setattr__(self, "gram", g)

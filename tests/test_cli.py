@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import sys
 import time
 from itertools import combinations_with_replacement
@@ -9,6 +10,7 @@ import pytest
 import sympy
 
 from k3lattice import k3n_lattice, make_E8
+from k3lattice import _intlinalg as la
 from k3lattice import cli
 from k3lattice.cli import build_parser, main
 
@@ -252,6 +254,26 @@ def test_bb_recover_q_dense_rank_past_budget_exits_3(capsys, monkeypatch):
     assert f"W_ENTRY_BUDGET = {cli.W_ENTRY_BUDGET}" in err
 
 
+def test_bb_recover_q_budget_counts_words_of_large_numbers(capsys,
+                                                          monkeypatch):
+    # rank 20 at n = 2 with xi = e_1 and entries a/b, b random of 300
+    # digits: the common denominator has about 200,000 bits, so each entry
+    # counts some 3,000 times and the request stops within ten w calls
+    rng = random.Random(0)
+    r = 20
+    q = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            q[i][j] = q[j][i] = (f"{rng.choice((-1, 1)) * rng.randint(1, 9)}"
+                                 f"/{rng.randrange(10 ** 299, 10 ** 300)}")
+    payload = {"n": 2, "xi": ["1"] + ["0"] * (r - 1), "q": q}
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, monkeypatch, ["bb-recover"], payload)
+    assert time.perf_counter() - start < 4
+    assert (code, out) == (3, "")
+    assert f"W_ENTRY_BUDGET = {cli.W_ENTRY_BUDGET}" in err
+
+
 def test_bb_recover_isotropic_xi_is_exit_4(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, monkeypatch, ["bb-recover"],
                          {"n": 2, "xi": ["1", "0"],
@@ -420,6 +442,26 @@ def test_pointed(capsys, monkeypatch):
     assert data["equal_invariants"] is True
     assert data["equivalent_at_p"] is True
     assert "warnings" not in data
+
+
+def test_pointed_eliminates_its_lattice_once(capsys, monkeypatch):
+    # both points' signatures read the elimination that the lattice's
+    # constructor kept; each complement is a lattice of its own
+    lam = k3n_lattice(2)
+    real = la.symmetric_elimination
+    grams = []
+
+    def counted(g):
+        grams.append(tuple(map(tuple, g)))
+        return real(g)
+
+    monkeypatch.setattr(la, "symmetric_elimination", counted)
+    doc = lattice_doc(lam, point=["1", "1"] + ["0"] * 21,
+                      point2=["0", "0", "1", "1"] + ["0"] * 19)
+    code, out, _ = run_cli(capsys, monkeypatch, ["pointed"], doc)
+    assert code == 0
+    assert json.loads(out)["equal_invariants"] is True
+    assert grams.count(lam.gram) == 1
 
 
 def test_pointed_without_provenance_warns(capsys, monkeypatch):

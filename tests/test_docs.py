@@ -1,6 +1,7 @@
 """README's table of size limits agrees with the module constants, every
-limit is enforced through the helpers in errors.py, and disc_form.py makes
-a Fraction only where a value leaves a form."""
+limit is enforced through the helpers in errors.py, disc_form.py makes a
+Fraction only where a value leaves a form, and a Gram matrix is checked and
+eliminated by one helper each."""
 
 import ast
 import importlib
@@ -82,3 +83,40 @@ def test_disc_form_makes_fractions_only_at_its_boundary():
     assert any(_called(node, {"Fraction"}) for node in ast.walk(tree))
     outside = [node.lineno for node in names if id(node) not in allowed]
     assert not outside, f"Fraction used at disc_form.py lines {outside}"
+
+
+def _holders(test):
+    """(module, top-level function or class) pairs of src/ whose code has a
+    node that passes ``test``."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if any(test(node) for node in ast.walk(top)):
+                found.add((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def _calls(name):
+    def test(node):
+        return isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    return test
+
+
+def test_one_elimination_and_one_symmetric_check():
+    # a QuadLattice eliminates its Gram matrix once and keeps the result;
+    # det is the only other caller
+    assert _holders(_calls("symmetric_elimination")) == {
+        ("lattice_core", "QuadLattice"), ("_intlinalg", "det")}
+    assert _holders(_calls("check_symmetric")) == {
+        ("lattice_core", "QuadLattice"),
+        ("_intlinalg", "symmetric_elimination"),
+        ("moduli_arith", "FrobeniusPairingInstance"),
+        ("bb_form", "SymmetrizedPowerForm"), ("cli", "cmd_bb_recover")}
+
+    def message(node):
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and ("must be square" in node.value
+                     or "must be symmetric" in node.value))
+
+    assert _holders(message) == {("_intlinalg", "check_symmetric")}

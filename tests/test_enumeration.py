@@ -8,7 +8,7 @@ from helpers import (box_vectors, conjugate_gram, random_unimodular,
 from k3lattice import (CapacityError, DomainError, QuadLattice, direct_sum,
                        enumeration, find_vector_norm_prime_to_p, inner_product,
                        is_isometric_definite, make_E8, make_rank1, make_U,
-                       mukai_lattice, orthogonal_complement,
+                       mukai_lattice, orthogonal_complement, signature,
                        vectors_of_norm)
 from k3lattice.moduli_arith import hilbert_scheme_vector, mukai_vector_embed
 
@@ -113,6 +113,26 @@ def test_isometry_search_base_change():
     assert la.mat_mul(gt, la.mat_mul([list(r) for r in twisted.gram],
                                      [list(r) for r in g])) == \
         [list(r) for r in e8.gram]
+
+
+def test_built_lattices_are_not_eliminated_again(monkeypatch):
+    # the constructor keeps its elimination; signature, enumeration and the
+    # isometry search read it
+    e8 = make_E8()
+    twisted = QuadLattice(conjugate_gram(
+        e8.gram, random_unimodular(8, random.Random(7), steps=10, size=1)))
+    real = la.symmetric_elimination
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(la, "symmetric_elimination", counted)
+    assert signature(twisted) == (0, 8)
+    assert len(vectors_of_norm(twisted, -2)) == 240
+    assert is_isometric_definite(e8, twisted) is not None
+    assert calls == []
 
 
 def test_isometry_search_verdicts():
