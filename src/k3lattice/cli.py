@@ -135,11 +135,7 @@ def _load_gram(obj):
 def _load_doc(payload):
     if not isinstance(payload, dict) or "gram" not in payload:
         raise InvalidGramError("document must contain a 'gram' field")
-    gram = _load_gram(payload["gram"])
-    provenance = payload.get("provenance")
-    if provenance is not None:
-        provenance = _array(provenance, "provenance", str)
-    return QuadLattice(gram, summands=provenance)
+    return QuadLattice(_load_gram(payload["gram"]))
 
 
 def _read_payload():
@@ -370,7 +366,6 @@ def cmd_enumerate(payload):
 def cmd_pointed(payload):
     lat = _load_doc(payload)
     point = _array(payload["point"], "point", _int)
-    captured = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         inv = pointed_invariants(lat, point)
@@ -388,9 +383,8 @@ def cmd_pointed(payload):
             if "p" in payload:
                 out["equivalent_at_p"] = pointed_equivalent_at_p(
                     lat, point, point2, _int(payload["p"]))
-        captured = [str(w.message) for w in caught]
-    if captured:
-        out["warnings"] = sorted(set(captured))
+    if caught:
+        out["warnings"] = sorted({str(w.message) for w in caught})
     return out
 
 

@@ -17,7 +17,7 @@ from math import gcd, lcm
 
 from . import _intlinalg as la
 from .errors import DomainError, StructureError, check_limit
-from .lattice_core import QuadLattice, is_even, is_isometry
+from .lattice_core import QuadLattice, as_vector, is_even, is_isometry
 from .prime_density import is_prime
 
 # isotropic_subgroups and forms_isomorphic enumerate the group's elements and
@@ -68,11 +68,8 @@ class FiniteQuadraticForm:
         return Fraction(n % (self.modulus * e2), e2)
 
     def reduce(self, x):
-        if len(x) != len(self.invariant_factors):
-            raise DomainError(
-                f"element has {len(x)} coordinates, expected "
-                f"{len(self.invariant_factors)}")
-        return tuple(int(a) % d for a, d in zip(x, self.invariant_factors))
+        x = as_vector(x, len(self.invariant_factors))
+        return tuple(a % d for a, d in zip(x, self.invariant_factors))
 
     def lift(self, x):
         """A representative of x in the dual lattice, as a rational vector
@@ -246,10 +243,10 @@ def acts_trivially_on_disc(lat, g, m):
     """True iff the isometry g induces the identity on the discriminant
     group.  ``m`` must satisfy m * L^v <= L (it kills the discriminant);
     this is the modulus for which congruence implies triviality."""
-    g = [list(map(int, row)) for row in g]
+    g = [as_vector(row) for row in g]
     if not is_isometry(lat, g):
         raise StructureError("g is not an isometry of the lattice")
-    m = int(m)
+    (m,) = as_vector([m])
     if m < 1:
         raise DomainError("m must be positive")
     form = discriminant_group(lat)

@@ -53,6 +53,6 @@ class InconsistencyError(LatticeError):
 
 
 class UnverifiedHypothesisWarning(UserWarning):
-    """A structural hypothesis (two orthogonal hyperbolic-plane summands)
-    could not be certified from constructor lineage; the result relies on
-    the caller's assertion."""
+    """The Gram matrix neither shows nor rules out U + U (an odd lattice, or
+    an even one of rank l + 4, l > 0, without literal planes); the result
+    assumes it."""

@@ -30,15 +30,9 @@ def _freeze_gram(gram):
 
 @dataclass(frozen=True)
 class QuadLattice:
-    """A nondegenerate integral quadratic lattice.
-
-    ``summands`` optionally records constructor lineage (tags like "U",
-    "E8") so that downstream arguments needing certified hyperbolic-plane
-    summands can check for them.  It never affects equality.
-    """
+    """A nondegenerate integral quadratic lattice."""
 
     gram: tuple
-    summands: tuple = field(default=None, compare=False)
     # (minors, stage rows) of the Gram matrix's symmetric elimination
     _elimination: tuple = field(init=False, repr=False, compare=False)
 
@@ -52,8 +46,6 @@ class QuadLattice:
             raise DegenerateLatticeError("Gram matrix is degenerate")
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "_elimination", (minors, rows))
-        if self.summands is not None:
-            object.__setattr__(self, "summands", tuple(self.summands))
 
     @property
     def rank(self):
@@ -92,7 +84,7 @@ def as_vector(v, rank=None):
 
 def make_U():
     """The hyperbolic plane: Gram [[0,1],[1,0]]."""
-    return QuadLattice(((0, 1), (1, 0)), summands=("U",))
+    return QuadLattice(((0, 1), (1, 0)))
 
 
 # Frozen basis for E8: the branch node first, then the arms of length 4, 2
@@ -106,30 +98,21 @@ def make_E8():
     g = [[-2 if i == j else 0 for j in range(8)] for i in range(8)]
     for i, j in _E8_EDGES:
         g[i][j] = g[j][i] = 1
-    return QuadLattice(g, summands=("E8",))
+    return QuadLattice(g)
 
 
 def make_rank1(m):
     """Rank-one lattice generated by a vector of self-pairing m != 0."""
-    m = int(m)
+    (m,) = as_vector([m])
     if m == 0:
         raise DegenerateLatticeError("rank-1 lattice needs m != 0")
-    return QuadLattice(((m,),), summands=(f"<{m}>",))
+    return QuadLattice(((m,),))
 
 
 def direct_sum(l1, l2):
     """Orthogonal direct sum, as a block-diagonal Gram."""
-    n1, n2 = l1.rank, l2.rank
-    g = [[0] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            g[i][j] = l1.gram[i][j]
-    for i in range(n2):
-        for j in range(n2):
-            g[n1 + i][n1 + j] = l2.gram[i][j]
-    tags1 = l1.summands if l1.summands is not None else ("?",)
-    tags2 = l2.summands if l2.summands is not None else ("?",)
-    return QuadLattice(g, summands=tags1 + tags2)
+    return QuadLattice([row + (0,) * l2.rank for row in l1.gram]
+                       + [(0,) * l1.rank + row for row in l2.gram])
 
 
 def k3n_lattice(n):
@@ -212,11 +195,3 @@ def is_isometry(lat, g):
     if len(m) != lat.rank:
         return False
     return la.congruence(m, lat.gram) == [list(row) for row in lat.gram]
-
-
-def hyperbolic_summand_count(lat):
-    """Number of hyperbolic-plane summands certified by constructor lineage
-    (0 when the lineage is unknown)."""
-    if lat.summands is None:
-        return 0
-    return sum(1 for tag in lat.summands if tag == "U")

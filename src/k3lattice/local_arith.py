@@ -20,9 +20,8 @@ from math import gcd, lcm
 from . import _intlinalg as la
 from .disc_form import disc_local_part, discriminant_group, forms_isomorphic
 from .errors import DomainError, StructureError, UnverifiedHypothesisWarning
-from .lattice_core import (as_vector, hyperbolic_summand_count, inner_product,
-                           is_even, is_primitive, orthogonal_complement,
-                           signature)
+from .lattice_core import (as_vector, inner_product, is_even, is_primitive,
+                           orthogonal_complement, signature)
 from .prime_density import factorize, is_prime, kronecker_symbol
 
 
@@ -195,19 +194,53 @@ def is_selfdual_at_p(lat, p):
     return lat.det % p != 0
 
 
-def _require_hyperbolic_pair(lat, what):
-    if hyperbolic_summand_count(lat) < 2:
-        warnings.warn(
-            f"{what}: two orthogonal hyperbolic-plane summands are not "
-            "certified by constructor lineage; trusting the caller",
-            UnverifiedHypothesisWarning,
-            stacklevel=3,
-        )
+def _literal_planes(g):
+    """True iff basis vectors e_i, e_j, e_k, e_l with G_ii = G_kk = 0,
+    G_ij, G_kl = +-1, G_jj, G_ll even and G zero between {i, j} and {k, l}
+    exist.  They span U + U, which is unimodular and so splits off."""
+    idx = range(len(g))
+    partners = {i: [j for j in idx if g[i][j] in (1, -1) and g[j][j] % 2 == 0]
+                for i in idx if g[i][i] == 0}
+    for i, js in partners.items():
+        for j in js:
+            free = {k for k in idx if g[i][k] == g[j][k] == 0}
+            if any(l in free for k in free & partners.keys()
+                   for l in partners[k]):
+                return True
+    return False
+
+
+def _require_two_planes(lat, what):
+    """Decide from the Gram matrix whether U + U splits off the lattice.
+
+    Yes, silently, if the basis holds two literal planes, or if the lattice
+    is even with t+, t- >= 2 and r >= l + 5, l the number of invariant
+    factors of its discriminant group (Nikulin, Integral symmetric bilinear
+    forms, Cor. 1.13.5, twice), or l = 0 (even unimodular of signature
+    (2, 2) is U + U).  No, with StructureError, if t+ < 2, t- < 2 or
+    r < l + 4, since U + U + M has l <= rank M.  Otherwise (odd, or
+    r = l + 4 > 4) an UnverifiedHypothesisWarning.
+    """
+    pos, neg = signature(lat)
+    if min(pos, neg) < 2:
+        raise StructureError(f"a lattice of signature ({pos}, {neg}) cannot "
+                             "contain U + U")
+    if _literal_planes(lat.gram):
+        return
+    gens = len(discriminant_group(lat).invariant_factors)
+    if lat.rank < gens + 4:
+        raise StructureError(f"a lattice of rank {lat.rank} cannot contain "
+                             f"U + U: its discriminant group needs {gens} "
+                             "generators")
+    if not is_even(lat) or (lat.rank == gens + 4 and gens):
+        warnings.warn(f"{what}: U + U is not in the basis, and the "
+                      "discriminant form does not decide it; the result "
+                      "assumes it", UnverifiedHypothesisWarning, stacklevel=3)
 
 
 def pointed_equivalent_at_p(lat, v, w, p):
     """Decide whether two primitive vectors lie in one orbit of the p-adic
-    isometry group of a lattice with two hyperbolic-plane summands.
+    isometry group of a lattice that contains U + U.
 
     Under that hypothesis (and evenness when p = 2) the orbit is determined
     by the self-pairing alone, so this reduces to comparing v^2 with w^2.
@@ -220,14 +253,15 @@ def pointed_equivalent_at_p(lat, v, w, p):
         raise DomainError("both vectors must be primitive")
     if p == 2 and not is_even(lat):
         raise DomainError("the p = 2 case requires an even lattice")
-    _require_hyperbolic_pair(lat, "pointed_equivalent_at_p")
+    _require_two_planes(lat, "pointed_equivalent_at_p")
     return inner_product(lat, v, v) == inner_product(lat, w, w)
 
 
 @dataclass(frozen=True, eq=False)
 class PointedInvariants:
     """Complete isomorphism invariants of a pointed lattice whose ambient
-    lattice has two hyperbolic-plane summands.
+    lattice contains U + U, as pointed_invariants decides it from the Gram
+    matrix.
 
     Equality compares the signature, point norm, complement determinant and
     odd-p Jordan data directly, and the 2-primary discriminant forms of the
@@ -255,12 +289,13 @@ class PointedInvariants:
 
 def pointed_invariants(lat, v):
     """The invariant tuple classifying (lattice, vector) up to isomorphism
-    for lattices with two hyperbolic-plane summands."""
+    for lattices that contain U + U (Eichler's criterion); raises
+    StructureError when the lattice cannot contain it."""
     v = as_vector(v, lat.rank)
     if not is_primitive(lat, v):
         raise DomainError("the distinguished vector must be primitive")
-    _require_hyperbolic_pair(lat, "pointed_invariants")
     comp, _ = orthogonal_complement(lat, v)
+    _require_two_planes(lat, "pointed_invariants")
     odd = []
     for p, _ in factorize(comp.det):
         if p != 2:

@@ -50,8 +50,7 @@ def mukai_lattice(ns):
     for i in range(n):
         for j in range(n):
             g[1 + i][1 + j] = ns.gram[i][j]
-    tags = ns.summands if ns.summands is not None else ("?",)
-    return QuadLattice(g, summands=("U",) + tags)
+    return QuadLattice(g)
 
 
 def mukai_vector_embed(v, ns):
@@ -117,9 +116,9 @@ def mukai_perp_disc_check(v, ns, p):
 def cubic_primitive_lattice():
     """The rank-22 primitive middle-cohomology lattice of a cubic fourfold
     in the period-domain sign convention (signature (2, 20)): two
-    hyperbolic planes, two negative definite E8 summands, and the negated
-    hexagonal rank-2 form [[-2,-1],[-1,-2]]."""
-    a2 = QuadLattice(((-2, -1), (-1, -2)), summands=("-A2",))
+    hyperbolic planes, two copies of the negative definite E8, and the
+    negated hexagonal rank-2 form [[-2,-1],[-1,-2]]."""
+    a2 = QuadLattice(((-2, -1), (-1, -2)))
     out = direct_sum(make_U(), make_U())
     out = direct_sum(out, make_E8())
     out = direct_sum(out, make_E8())
@@ -175,7 +174,7 @@ def newton_polygon(coeffs, p):
     nonzero (a zero root has no finite valuation) and the leading
     coefficient must be nonzero.
     """
-    coeffs = [int(c) for c in coeffs]
+    coeffs = as_vector(coeffs)
     if not coeffs or all(c == 0 for c in coeffs):
         raise DomainError("polynomial must be nonzero")
     if coeffs[-1] == 0:

@@ -28,11 +28,7 @@ GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.json"))
 
 
 def lattice_doc(lat, **extra):
-    doc = {"gram": [[str(x) for x in row] for row in lat.gram]}
-    if lat.summands is not None:
-        doc["provenance"] = list(lat.summands)
-    doc.update(extra)
-    return doc
+    return {"gram": [[str(x) for x in row] for row in lat.gram], **extra}
 
 
 def test_disc_k3_lattice(capsys, monkeypatch):
@@ -136,8 +132,7 @@ def test_bb_recover_w_bad_keys_are_exit_2(capsys, monkeypatch, bad_key,
 
 
 U2 = {"gram": [["0", "1", "0", "0"], ["1", "0", "0", "0"],
-              ["0", "0", "0", "1"], ["0", "0", "1", "0"]],
-      "provenance": ["U", "U"]}
+              ["0", "0", "0", "1"], ["0", "0", "1", "0"]]}
 
 
 @pytest.mark.parametrize("argv, payload, field", [
@@ -151,11 +146,8 @@ U2 = {"gram": [["0", "1", "0", "0"], ["1", "0", "0", "0"],
     (["bb-recover"], {"n": 1, "xi": ["1", "0"], "q": ["20", "01"]}, "q"),
     (["mukai"], {"ns": [["2"]], "v": {"r": "1", "c1": "0", "s": "-1"}},
      "c1"),
-    (["pointed"], {**U2, "provenance": "UU", "point": ["1", "1", "0", "0"]},
-     "provenance"),
 ], ids=["newton-string", "newton-object", "pointed-point", "pointed-point2",
-        "bb-recover-xi", "bb-recover-q-rows", "mukai-c1",
-        "pointed-provenance"])
+        "bb-recover-xi", "bb-recover-q-rows", "mukai-c1"])
 def test_array_field_rejects_non_array(capsys, monkeypatch, argv, payload,
                                        field):
     # a string must not be read one character at a time
@@ -464,12 +456,24 @@ def test_pointed_eliminates_its_lattice_once(capsys, monkeypatch):
     assert grams.count(lam.gram) == 1
 
 
-def test_pointed_without_provenance_warns(capsys, monkeypatch):
+def test_pointed_below_two_planes_is_exit_3(capsys, monkeypatch):
+    # U + <2> has signature (2, 1), so it cannot contain U + U
     doc = {"gram": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "2"]],
            "point": ["1", "1", "0"]}
-    code, out, _ = run_cli(capsys, monkeypatch, ["pointed"], doc)
-    assert code == 0
-    assert "warnings" in json.loads(out)
+    got = run_cli(capsys, monkeypatch, ["pointed"], doc)
+    assert got == (3, "", "error: a lattice of signature (2, 1) cannot "
+                          "contain U + U\n")
+
+
+@pytest.mark.parametrize("provenance", [["U", "U"], ["E8"], "UU", None])
+def test_pointed_ignores_provenance(capsys, monkeypatch, provenance):
+    # the field is not read: U + U is decided from the Gram matrix alone
+    doc = {**U2, "point": ["1", "3", "0", "0"]}
+    want = run_cli(capsys, monkeypatch, ["pointed"], doc)
+    assert want[0] == 0 and "warnings" not in json.loads(want[1])
+    got = run_cli(capsys, monkeypatch, ["pointed"],
+                  {**doc, "provenance": provenance})
+    assert got == want
 
 
 def test_deterministic_output(capsys, monkeypatch):

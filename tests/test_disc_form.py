@@ -214,6 +214,25 @@ def test_acts_trivially_identity_and_swap():
         acts_trivially_on_disc(lat, ((1, 0), (0, 1)), 1)
 
 
+def test_acts_trivially_refuses_non_integral_input():
+    # 1.9 does not become 1, nor m = 6.5 become 6
+    lat = QuadLattice(((2, 0), (0, 6)))
+    with pytest.raises(DomainError, match="1.9 is not an integer"):
+        acts_trivially_on_disc(lat, [[1.9, 0], [0, 1]], 6)
+    with pytest.raises(DomainError, match="6.5 is not an integer"):
+        acts_trivially_on_disc(lat, [[1, 0], [0, 1]], 6.5)
+    assert acts_trivially_on_disc(lat, [[1.0, 0], [0, 1]], Fraction(6))
+
+
+def test_reduce_refuses_non_integral_elements():
+    form = discriminant_group(QuadLattice(((2, 0), (0, 4))))
+    assert form.reduce((3, -1)) == (1, 3)
+    with pytest.raises(DomainError, match="1/2 is not an integer"):
+        form.reduce((Fraction(1, 2), Fraction(7, 2)))
+    with pytest.raises(DomainError, match="expected 2"):
+        form.reduce((1,))
+
+
 def test_acts_trivially_on_congruence_isometries():
     rng = random.Random(67)
     for _ in range(30):

@@ -1,7 +1,8 @@
 """README's table of size limits agrees with the module constants, every
 limit is enforced through the helpers in errors.py, disc_form.py makes a
-Fraction only where a value leaves a form, and a Gram matrix is checked and
-eliminated by one helper each."""
+Fraction only where a value leaves a form, a Gram matrix is checked and
+eliminated by one helper each, and U + U is decided in one place from the
+Gram matrix alone."""
 
 import ast
 import importlib
@@ -120,3 +121,22 @@ def test_one_elimination_and_one_symmetric_check():
                      or "must be symmetric" in node.value))
 
     assert _holders(message) == {("_intlinalg", "check_symmetric")}
+
+
+def test_two_planes_decided_in_one_place_without_tags():
+    # one site warns UnverifiedHypothesisWarning, and no caller-supplied
+    # lineage tags are read anywhere
+    def warns(node):
+        return (isinstance(node, (ast.Call, ast.Raise)) and any(
+            getattr(sub, "id", None) == "UnverifiedHypothesisWarning"
+            for sub in ast.walk(node)))
+
+    sites = [node for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if warns(node) and not any(
+                 warns(sub) for sub in ast.iter_child_nodes(node))]
+    assert len(sites) == 1
+    assert _holders(warns) == {("local_arith", "_require_two_planes")}
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert "summands" not in text and "provenance" not in text, path.name

@@ -74,6 +74,13 @@ def test_non_integral_input_is_refused():
     assert is_isometry(two, [[0, Fraction(1)], [1, 0]])
 
 
+def test_make_rank1_refuses_non_integral_m():
+    # 2.5 does not become <2>
+    with pytest.raises(DomainError, match="2.5 is not an integer"):
+        make_rank1(2.5)
+    assert make_rank1(Fraction(4, 2)).gram == ((2,),)
+
+
 def test_direct_sum_det_and_signature():
     u, e8 = make_U(), make_E8()
     assert direct_sum(u, u).det == 1

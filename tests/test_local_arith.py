@@ -14,10 +14,12 @@ from helpers import (conjugate_gram, pointed_isometry_search,
                      random_even_gram, random_unimodular, sympy_det)
 from k3lattice import (DomainError, QuadLattice, StructureError,
                        UnverifiedHypothesisWarning, artin_invariant,
-                       direct_sum, is_selfdual_at_p, jordan_decomposition,
-                       k3n_lattice, make_E8, make_rank1, make_U,
-                       pointed_equivalent_at_p, pointed_invariants)
-from k3lattice.local_arith import _block_split, _jordan_mod, _val
+                       direct_sum, discriminant_group, is_even,
+                       is_selfdual_at_p, jordan_decomposition, k3n_lattice,
+                       make_E8, make_rank1, make_U, pointed_equivalent_at_p,
+                       pointed_invariants, signature)
+from k3lattice.local_arith import (_block_split, _jordan_mod, _literal_planes,
+                                   _val)
 
 
 def test_jordan_examples():
@@ -113,13 +115,22 @@ def test_pointed_equivalent_examples():
         pointed_equivalent_at_p(lam, [2 * x for x in v], w, 5)
 
 
-def test_pointed_equivalent_warns_without_lineage():
+def test_pointed_equivalent_refuses_signature_below_two_planes():
+    # U + <2> has signature (2, 1), so it cannot contain U + U
     raw = QuadLattice(((0, 1, 0), (1, 0, 0), (0, 0, 2)))
+    with pytest.raises(StructureError, match=r"signature \(2, 1\)"):
+        pointed_equivalent_at_p(raw, (1, 1, 0), (0, 0, 1), 3)
+
+
+def test_pointed_equivalent_warns_on_odd_skewed_lattice():
+    # U + U + <1> with no literal plane left in its basis
+    odd = QuadLattice(planeless(block_diagonal([U, U, [[1]]]),
+                                random.Random(3)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pointed_equivalent_at_p(raw, (1, 1, 0), (0, 0, 1), 3)
-    assert any(issubclass(w.category, UnverifiedHypothesisWarning)
-               for w in caught)
+        assert pointed_equivalent_at_p(odd, (1, 0, 0, 0, 0),
+                                       (1, 0, 0, 0, 0), 3)
+    assert [w.category for w in caught] == [UnverifiedHypothesisWarning]
 
 
 def test_pointed_equivalent_odd_lattice_at_two():
@@ -363,3 +374,96 @@ def test_jordan_mod_edge_cases(p):
               (1, 1, minus_one),
               (2, 2, sympy.legendre_symbol(-2 % p, p)))
     assert jordan_mod(skewed(g, rng, p ** 6), p) == expect
+
+
+U = [[0, 1], [1, 0]]
+
+
+def two_planes_verdict(lat):
+    """What pointed_equivalent_at_p decides about U + U in the lattice:
+    "no" (StructureError), "unverified" (a warning) or "yes"."""
+    e = (1,) + (0,) * (lat.rank - 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            pointed_equivalent_at_p(lat, e, e, 3)
+        except StructureError:
+            return "no"
+    if any(issubclass(w.category, UnverifiedHypothesisWarning)
+           for w in caught):
+        return "unverified"
+    return "yes"
+
+
+def planeless(gram, rng):
+    """gram skewed until its basis holds no literal plane."""
+    gram = skewed(gram, rng, 20)
+    while _literal_planes(gram):
+        gram = skewed(gram, rng, 20)
+    return gram
+
+
+def disc_generators(lat):
+    return len(discriminant_group(lat).invariant_factors)
+
+
+@ORACLE
+@given(st.integers(0, 2 ** 32), st.integers(1, 4),
+       st.sampled_from((0, 0, 1, -3)))
+def test_u_plus_u_plus_m_is_never_disproved(seed, m_rank, odd):
+    # U + U + M under a change of basis; certified when even with
+    # r >= l + 5, whether or not literal planes survive the skew
+    rng = random.Random(seed)
+    blocks = [U, U, random_even_gram(rng, m_rank)] + [[[odd]]] * bool(odd)
+    lat = QuadLattice(skewed(block_diagonal(blocks), rng, 20))
+    verdict = two_planes_verdict(lat)
+    assert verdict != "no"
+    if is_even(lat) and lat.rank >= disc_generators(lat) + 5:
+        assert verdict == "yes"
+
+
+@ORACLE
+@given(st.integers(0, 2 ** 32), st.integers(1, 6), st.sampled_from((0, 1)))
+def test_signature_below_two_planes_is_disproved(seed, rank, odd):
+    rng = random.Random(seed)
+    lat = QuadLattice(block_diagonal([random_even_gram(rng, rank)]
+                                     + [[[odd]]] * odd))
+    assume(min(signature(lat)) <= 1)
+    assert two_planes_verdict(lat) == "no"
+
+
+@ORACLE
+@given(st.integers(0, 2 ** 32), st.sampled_from((2, 3, 5)),
+       st.lists(st.integers(-3, 3).filter(bool), max_size=2))
+def test_scaled_planes_below_rank_l_plus_4_are_disproved(seed, p, diagonal):
+    # U(p) + U(p) + <p c_1> + ...: every summand adds a generator
+    up = [[0, p], [p, 0]]
+    blocks = [up, up] + [[[p * c]] for c in diagonal]
+    lat = QuadLattice(skewed(block_diagonal(blocks), random.Random(seed),
+                             10 * p))
+    assert lat.rank < disc_generators(lat) + 4
+    assert two_planes_verdict(lat) == "no"
+
+
+def test_two_planes_decided_from_the_gram_matrix():
+    rng = random.Random(7)
+    # literal planes certify an odd lattice too
+    assert two_planes_verdict(QuadLattice(block_diagonal([U, U, [[1]]]))) \
+        == "yes"
+    # with no literal plane left, K3^[n] (r = 23, l = 1) and U + U (l = 0)
+    # are certified by the discriminant form
+    for gram in (k3n_lattice(2).gram, k3n_lattice(7).gram,
+                 block_diagonal([U, U])):
+        assert two_planes_verdict(QuadLattice(planeless(gram, rng))) == "yes"
+    # an even lattice of rank l + 4 = 6 and an odd one are left open
+    for blocks in ([U, U, [[2]], [[-2]]], [U, U, [[1]]]):
+        lat = QuadLattice(planeless(block_diagonal(blocks), rng))
+        assert two_planes_verdict(lat) == "unverified"
+    # [[0, 1], [1, 1]] is <1> + <-1>, not U, so two of them are no literal
+    # planes (their sum is odd unimodular, which contains no U + U)
+    odd_planes = QuadLattice(block_diagonal([[[0, 1], [1, 1]]] * 2))
+    assert not _literal_planes(odd_planes.gram)
+    assert two_planes_verdict(odd_planes) == "unverified"
+    # U + U(2): r = 4 < l + 4 = 6
+    lat = QuadLattice(block_diagonal([U, [[0, 2], [2, 0]]]))
+    assert two_planes_verdict(lat) == "no"

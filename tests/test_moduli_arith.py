@@ -157,6 +157,13 @@ def test_newton_polygon_examples():
     assert newton_polygon([16, 0, 4, 0, 1], 2).slopes == ((Fraction(1), 4),)
 
 
+def test_newton_polygon_refuses_non_integral_coefficients():
+    # 15/2 does not become 7, whose polygon at 7 has slopes
+    with pytest.raises(DomainError, match="7.5 is not an integer"):
+        newton_polygon([15 / 2, -1, 1], 7)
+    assert newton_polygon([7.0, -1, 1], 7) == newton_polygon([7, -1, 1], 7)
+
+
 def test_newton_polygon_validation():
     with pytest.raises(DomainError):
         newton_polygon([0, 1, 1], 5)  # zero constant term
