@@ -6,7 +6,8 @@ eliminations work on ints only.  No floating point is used anywhere.
 Every determinant, signature and Fincke-Pohst factorization in the library
 comes from one fraction-free symmetric elimination (Bareiss, Math. Comp. 22,
 1968), ``symmetric_elimination``, which a QuadLattice runs once and keeps.
-Every square-and-symmetric check is ``check_symmetric``.
+Every square-and-symmetric check is ``check_symmetric``.  A QuadLattice
+also keeps the ``smith_normal_form`` of its Gram matrix, made on first use.
 """
 
 
@@ -197,19 +198,6 @@ def smith_normal_form(a):
             d[k] = [-x for x in d[k]]
         k += 1
     return d, t
-
-
-def integer_kernel(a):
-    """Basis of the saturated lattice {x in Z^n : a x = 0}.
-
-    Returns a list of integer vectors; any integer solution of a x = 0 is a
-    Z-combination of them.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    d, t = smith_normal_form(a)
-    rank = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
-    return [[t[i][j] for i in range(n)] for j in range(rank, n)]
 
 
 def hermite_normal_form(rows):

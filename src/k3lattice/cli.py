@@ -173,7 +173,7 @@ def _load_w_values(obj, n, r):
         raise InvalidGramError("w_basis_values must be a JSON object")
     values = {}
     for key, val in obj.items():
-        combo = tuple(sorted(int(t) for t in key.split(",")))
+        combo = tuple(sorted(_int(t) for t in key.split(",")))
         if len(combo) != 2 * n:
             raise InvalidGramError(
                 f"w_basis_values key {key!r} has {len(combo)} indices, "

@@ -122,7 +122,7 @@ def discriminant_group(lat):
     The SNF generator t_i/d_i is taken as (t_i mod d_i)/d_i: the two differ
     by a lattice vector, which changes neither the element nor q.
     """
-    d, t = la.smith_normal_form(lat.gram)
+    d, t = lat._smith
     keep = [i for i in range(lat.rank) if d[i][i] > 1]
     e = d[keep[-1]][keep[-1]] if keep else 1
     cols = [[row[i] % d[i][i] * (e // d[i][i]) for i in keep] for row in t]

@@ -1,6 +1,6 @@
-"""Brute-force oracles on definite lattices: complete short-vector
-enumeration and isometry search.  These back the invariant-based
-classification routines with explicit witnesses.
+"""Exact searches: Fincke-Pohst enumeration of the vectors of one norm in
+a definite lattice (the CLI's ``enumerate``), isometry search between
+definite lattices with a witness, and a vector of norm prime to p.
 """
 
 from dataclasses import dataclass

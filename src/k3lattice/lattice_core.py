@@ -6,7 +6,7 @@ unimodular g with g^T G' g = G.  All arithmetic is exact.
 """
 
 from dataclasses import dataclass, field
-
+from functools import cached_property
 from math import gcd
 
 from . import _intlinalg as la
@@ -46,6 +46,11 @@ class QuadLattice:
             raise DegenerateLatticeError("Gram matrix is degenerate")
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "_elimination", (minors, rows))
+
+    @cached_property
+    def _smith(self):
+        """(d, t) of the Smith normal form d = s G t, made on first use."""
+        return la.smith_normal_form(self.gram)
 
     @property
     def rank(self):
@@ -161,15 +166,17 @@ def orthogonal_complement(lat, v):
     if lat.rank == 1:
         raise DomainError("the orthogonal complement of a vector in a "
                           "rank-1 lattice is zero")
-    constraint = [la.mat_vec(lat.gram, v)]
-    b = la.integer_kernel(constraint)  # rows
-    g = la.congruence(la.transpose(b), lat.gram)
+    # G v != 0 has rank 1, so columns 1.. of its Smith transform t span the
+    # saturated kernel {x : (G v)^T x = 0}
+    _, t = la.smith_normal_form([la.mat_vec(lat.gram, v)])
+    basis = [row[1:] for row in t]  # columns
+    g = la.congruence(basis, lat.gram)
     try:
         comp = QuadLattice(g)
     except DegenerateLatticeError:
         raise DegenerateLatticeError(
             "induced form on the complement is degenerate") from None
-    return comp, tuple(tuple(row) for row in b)
+    return comp, tuple(zip(*basis))
 
 
 def signature(lat):

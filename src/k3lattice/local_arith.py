@@ -215,7 +215,7 @@ def _require_two_planes(lat, what):
 
     Yes, silently, if the basis holds two literal planes, or if the lattice
     is even with t+, t- >= 2 and r >= l + 5, l the number of invariant
-    factors of its discriminant group (Nikulin, Integral symmetric bilinear
+    factors > 1 of its kept Smith form (Nikulin, Integral symmetric bilinear
     forms, Cor. 1.13.5, twice), or l = 0 (even unimodular of signature
     (2, 2) is U + U).  No, with StructureError, if t+ < 2, t- < 2 or
     r < l + 4, since U + U + M has l <= rank M.  Otherwise (odd, or
@@ -227,7 +227,7 @@ def _require_two_planes(lat, what):
                              "contain U + U")
     if _literal_planes(lat.gram):
         return
-    gens = len(discriminant_group(lat).invariant_factors)
+    gens = sum(1 for i, row in enumerate(lat._smith[0]) if row[i] > 1)
     if lat.rank < gens + 4:
         raise StructureError(f"a lattice of rank {lat.rank} cannot contain "
                              f"U + U: its discriminant group needs {gens} "

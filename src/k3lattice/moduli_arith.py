@@ -231,8 +231,12 @@ class FrobeniusPairingInstance:
     prime: int
 
     def __post_init__(self):
+        if not is_prime(self.prime):
+            raise DomainError(f"{self.prime} is not prime")
         f = tuple(as_vector(row) for row in self.frobenius)
         g = _freeze_gram(self.gram)
+        if not g:
+            raise DomainError("pairing must be non-empty")
         la.check_symmetric(g, DomainError, "pairing")
         if len(f) != len(g) or any(len(row) != len(g) for row in f):
             raise DomainError("frobenius must have the pairing's size")

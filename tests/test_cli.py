@@ -380,7 +380,9 @@ BIG = "1" + "0" * 5000
     (["bb-recover"], {"n": 1, "xi": ["1/" + BIG], "q": [["1"]]}),
     (["bb-recover"], {"n": 1, "xi": ["1_" + BIG], "q": [["1"]]}),
     (["density", "--inert", "3," + BIG, "--bound", "1000"], None),
-], ids=["json-number", "fraction-denominator", "underscored", "flag"])
+    (["bb-recover"], w_doc({"0," + BIG: "1"})),
+], ids=["json-number", "fraction-denominator", "underscored", "flag",
+        "w-key-index"])
 def test_input_past_digit_limit_exits_3(capsys, monkeypatch, argv, payload):
     code, out, err = run_cli(capsys, monkeypatch, argv, payload)
     limit = sys.get_int_max_str_digits()
@@ -454,6 +456,27 @@ def test_pointed_eliminates_its_lattice_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["equal_invariants"] is True
     assert grams.count(lam.gram) == 1
+
+
+def test_pointed_makes_one_smith_form_of_its_lattice(capsys, monkeypatch):
+    # no literal planes survive the skew, so all three U + U decisions of a
+    # request with point2 and p count invariant factors: they read the one
+    # Smith form that the lattice kept
+    case = json.loads((Path(__file__).parent / "golden"
+                       / "pointed_k3n_skewed_pair_at_p.json").read_text())
+    gram = tuple(tuple(map(int, row))
+                 for row in json.loads(case["stdin"])["gram"])
+    real = la.smith_normal_form
+    grams = []
+
+    def counted(a):
+        grams.append(tuple(map(tuple, a)))
+        return real(a)
+
+    monkeypatch.setattr(la, "smith_normal_form", counted)
+    got = run_cli(capsys, monkeypatch, case["argv"], case["stdin"])
+    assert got == (0, case["stdout"], "")
+    assert len(gram) == 23 and grams.count(gram) == 1
 
 
 def test_pointed_below_two_planes_is_exit_3(capsys, monkeypatch):

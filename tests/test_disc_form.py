@@ -24,6 +24,23 @@ def test_discriminant_group_examples():
     assert discriminant_group(kummer).invariant_factors == (3, 9)
 
 
+def test_discriminant_group_reads_the_kept_smith_form(monkeypatch):
+    # the lattice makes its Smith form on first use, not when constructed,
+    # and every later discriminant_group call reads the kept one
+    real = la.smith_normal_form
+    grams = []
+
+    def counted(a):
+        grams.append(tuple(map(tuple, a)))
+        return real(a)
+
+    monkeypatch.setattr(la, "smith_normal_form", counted)
+    lat = k3n_lattice(3)
+    assert grams == []
+    assert discriminant_group(lat) == discriminant_group(lat)
+    assert grams == [lat.gram]
+
+
 def test_invariant_factor_product_is_det():
     rng = random.Random(5)
     for _ in range(30):

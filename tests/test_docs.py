@@ -1,8 +1,8 @@
 """README's table of size limits agrees with the module constants, every
 limit is enforced through the helpers in errors.py, disc_form.py makes a
 Fraction only where a value leaves a form, a Gram matrix is checked and
-eliminated by one helper each, and U + U is decided in one place from the
-Gram matrix alone."""
+eliminated by one helper each, Smith forms are made only in lattice_core,
+and U + U is decided in one place from the Gram matrix alone."""
 
 import ast
 import importlib
@@ -121,6 +121,21 @@ def test_one_elimination_and_one_symmetric_check():
                      or "must be symmetric" in node.value))
 
     assert _holders(message) == {("_intlinalg", "check_symmetric")}
+
+
+def test_smith_forms_made_only_in_lattice_core():
+    # a QuadLattice keeps the Smith form of its Gram matrix; the complement
+    # of a vector reads its kernel off the Smith form of one row
+    assert _holders(_calls("smith_normal_form")) == {
+        ("lattice_core", "QuadLattice"),
+        ("lattice_core", "orthogonal_complement")}
+
+    def kernel(node):
+        return (_calls("integer_kernel")(node)
+                or isinstance(node, ast.FunctionDef)
+                and node.name == "integer_kernel")
+
+    assert _holders(kernel) == set()
 
 
 def test_two_planes_decided_in_one_place_without_tags():

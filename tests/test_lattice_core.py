@@ -1,7 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import k3lattice._intlinalg as la
 from helpers import (conjugate_gram, random_even_gram, random_unimodular,
@@ -186,6 +191,31 @@ def test_orthogonal_complement_saturated():
                 rank = len(basis)
                 assert all(tx[k] % d[k][k] == 0 for k in range(rank))
                 assert all(tx[k] == 0 for k in range(rank, n))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.integers(2, 6), st.data())
+def test_orthogonal_complement_basis_is_orthogonal_and_saturated(n, data):
+    # a random nondegenerate Gram and a primitive anisotropic v: the r - 1
+    # basis rows are orthogonal to v and span a saturated sublattice, the
+    # gcd of their maximal minors being 1
+    ints = st.integers(-9, 9)
+    upper = data.draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+    g = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    assume(sympy.Matrix(g).det() != 0)
+    lat = QuadLattice(g)
+    v = data.draw(st.lists(ints, min_size=n, max_size=n))
+    assume(gcd(*v) == 1 and inner_product(lat, v, v) != 0)
+    comp, basis = orthogonal_complement(lat, v)
+    assert len(basis) == n - 1
+    assert all(inner_product(lat, row, v) == 0 for row in basis)
+    m = sympy.Matrix(basis)
+    minors = [m.extract(list(range(n - 1)), list(cols)).det()
+              for cols in combinations(range(n), n - 1)]
+    assert gcd(*map(int, minors)) == 1
+    assert comp.gram == tuple(tuple(inner_product(lat, x, y) for y in basis)
+                              for x in basis)
 
 
 def test_invariants_under_base_change():

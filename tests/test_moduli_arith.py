@@ -304,6 +304,12 @@ def test_crystal_pairing_validation():
         FrobeniusPairingInstance(((1, 0),), ((2,),) * 2, 5)
     with pytest.raises(DomainError):
         FrobeniusPairingInstance(((1, 1), (1, 1)), ((1, 1), (1, 1)), 5)
+    # an empty pairing would pass check_k3_crystal_pairing, det(()) being 1
+    with pytest.raises(DomainError, match="pairing must be non-empty"):
+        FrobeniusPairingInstance((), (), 5)
+    for p in (4, 1, 0, -5):
+        with pytest.raises(DomainError, match=f"^{p} is not prime$"):
+            FrobeniusPairingInstance(((1, 0), (0, 1)), ((0, 1), (1, 0)), p)
     # non-integral entries are refused, not truncated
     with pytest.raises(DomainError, match="1/2 is not an integer"):
         FrobeniusPairingInstance(((Fraction(1, 2), 0), (0, 1)),
