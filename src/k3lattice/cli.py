@@ -379,7 +379,9 @@ def cmd_pointed(payload):
         }
         if "point2" in payload:
             point2 = _array(payload["point2"], "point2", _int)
-            out["equal_invariants"] = inv == pointed_invariants(lat, point2)
+            # a point compared with itself needs no second complement
+            out["equal_invariants"] = (
+                point2 == point or inv == pointed_invariants(lat, point2))
             if "p" in payload:
                 out["equivalent_at_p"] = pointed_equivalent_at_p(
                     lat, point, point2, _int(payload["p"]))

@@ -1,6 +1,7 @@
 """Exact searches: Fincke-Pohst enumeration of the vectors of one norm in
-a definite lattice (the CLI's ``enumerate``), isometry search between
-definite lattices with a witness, and a vector of norm prime to p.
+a definite lattice (the CLI's ``enumerate``), on the LLL-reduced basis the
+lattice keeps and up to sign, isometry search between definite lattices
+with a witness, and a vector of norm prime to p.
 """
 
 from dataclasses import dataclass
@@ -33,8 +34,11 @@ class VectorSet:
 def vectors_of_norm(lat, m):
     """All lattice vectors x with <x, x> = m on a definite lattice.
 
-    Complete (the backtracking bounds are intrinsic); ``NODE_BUDGET`` caps
-    the coordinate values the search visits.
+    Complete (the backtracking bounds are intrinsic).  The search runs on
+    the lattice's kept LLL-reduced basis, with the top nonzero coordinate
+    positive; each vector found is built in the lattice's basis as the
+    search descends and returned with its negative, sorted.
+    ``NODE_BUDGET`` caps the coordinate values the search visits.
     """
     pos, neg = signature(lat)
     if pos and neg:
@@ -46,40 +50,49 @@ def vectors_of_norm(lat, m):
         return VectorSet(m, ())
     if target == 0:
         return VectorSet(m, ((0,) * n,))
-    # Integer factors from the elimination the lattice keeps, in which no
-    # pivot of a definite Gram matrix moves: with D_i its minors, M_i its
-    # stage rows and h_i = sign(D_i) gcd(M_i), e_i = D_i / h_i and
-    # a_ij = M_ij / h_i give den <x, x> = sum_i w_i (e_i x_i + s_i)^2, where
-    # s_i = sum_{j>i} a_ij x_j and w_i / den = h_i^2 / (sign D_(i-1) D_i).
-    minors, rows = lat._elimination
-    h = [gcd(*row) if d > 0 else -gcd(*row) for d, row in zip(minors, rows)]
+    # Integer factors from the LLL reduction the lattice keeps: the rows of
+    # basis span the lattice, and y in their coordinates is x = basis^T y.
+    # With D_i the minors of their Gram matrix (of sign G, so all D_i > 0),
+    # M_i its stage rows and h_i = gcd(M_i), e_i = D_i / h_i and
+    # a_ij = M_ij / h_i give den sign <x, x> = sum_i w_i (e_i y_i + s_i)^2,
+    # where s_i = sum_{j>i} a_ij y_j and w_i / den = h_i^2 / (D_(i-1) D_i).
+    basis, minors, rows = lat._reduction
+    h = [gcd(*row) for row in rows]
     e = [d // hk for d, hk in zip(minors, h)]
-    a = [[x // hk for x in row] for hk, row in zip(h, rows)]
-    pd = [sign * p * d for p, d in zip([1] + minors, minors)]
+    # tails[i] = [a_ij for j > i]
+    tails = [[x // hk for x in row[i + 1:]]
+             for i, (hk, row) in enumerate(zip(h, rows))]
+    pd = [p * d for p, d in zip([1] + minors, minors)]
     den = lcm(*(pk // gcd(hk * hk, pk) for hk, pk in zip(h, pd)))
     w = [hk * hk * den // pk for hk, pk in zip(h, pd)]
     found = []
-    x = [0] * n
+    y = [0] * n
     meter = Budget("NODE_BUDGET", NODE_BUDGET, "enumeration visits",
                    "coordinate values")
 
-    def descend(i, remaining):
-        # remaining = den target - the weighted squares for indices > i
-        s = sum(a[i][j] * x[j] for j in range(i + 1, n))
+    def descend(i, remaining, top, part):
+        # remaining = den target - the weighted squares for indices > i, and
+        # part = sum_{j>i} y_j basis_j; while every coordinate above i is
+        # zero (top), s = 0 and only y_i >= 0 is searched: y is found with
+        # its top nonzero coordinate positive, and -y is added with it
+        s = sum(map(mul, tails[i], y[i + 1:]))
         r = isqrt(remaining // w[i])
-        lo, hi = -((r + s) // e[i]), (r - s) // e[i]
+        lo, hi = 0 if top else -((r + s) // e[i]), (r - s) // e[i]
         meter.charge(hi - lo + 1)
+        row = basis[i]
         for t in range(lo, hi + 1):
-            x[i] = t
             used = w[i] * (e[i] * t + s) ** 2
             if i == 0:
                 if used == remaining:
-                    found.append(tuple(x))
+                    x = tuple([p + t * b for p, b in zip(part, row)])
+                    found.extend((x, tuple([-c for c in x])))
             else:
-                descend(i - 1, remaining - used)
-        x[i] = 0
+                y[i] = t
+                descend(i - 1, remaining - used, top and not t,
+                        [p + t * b for p, b in zip(part, row)])
+        y[i] = 0
 
-    descend(n - 1, den * target)
+    descend(n - 1, den * target, True, [0] * n)
     found.sort()
     return VectorSet(m, tuple(found))
 

@@ -33,24 +33,32 @@ class QuadLattice:
     """A nondegenerate integral quadratic lattice."""
 
     gram: tuple
-    # (minors, stage rows) of the Gram matrix's symmetric elimination
-    _elimination: tuple = field(init=False, repr=False, compare=False)
+    # leading principal minors of the Gram matrix, from its elimination
+    _minors: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = _freeze_gram(self.gram)
         if not g:
             raise InvalidGramError("Gram matrix must be non-empty")
         la.check_symmetric(g, InvalidGramError, "Gram matrix")
-        minors, rows = la.symmetric_elimination(g)
+        minors, _ = la.symmetric_elimination(g)
         if len(minors) < len(g):
             raise DegenerateLatticeError("Gram matrix is degenerate")
         object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "_elimination", (minors, rows))
+        object.__setattr__(self, "_minors", minors)
 
     @cached_property
     def _smith(self):
         """(d, t) of the Smith normal form d = s G t, made on first use."""
         return la.smith_normal_form(self.gram)
+
+    @cached_property
+    def _reduction(self):
+        """(h, minors, rows) of the LLL reduction of the Gram matrix of a
+        definite lattice, made positive by the sign of its first entry;
+        made on first use."""
+        sign = 1 if self.gram[0][0] > 0 else -1
+        return la.lll_reduction([[sign * x for x in row] for row in self.gram])
 
     @property
     def rank(self):
@@ -58,7 +66,7 @@ class QuadLattice:
 
     @property
     def det(self):
-        return self._elimination[0][-1]
+        return self._minors[-1]
 
     def __repr__(self):
         return f"QuadLattice(rank={self.rank}, det={self.det})"
@@ -181,7 +189,7 @@ def orthogonal_complement(lat, v):
 
 def signature(lat):
     """(positive, negative) inertia of the rational quadratic space."""
-    minors = lat._elimination[0]
+    minors = lat._minors
     # the k-th pivot D_k / D_(k-1) is positive iff the two minors agree
     pos = sum(1 for a, b in zip([1] + minors, minors) if (a > 0) == (b > 0))
     return pos, len(minors) - pos

@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import factorial, gcd, isqrt
 
 import sympy
+from hypothesis import strategies as st
 
 import k3lattice._intlinalg as la
 from k3lattice.disc_form import FiniteQuadraticForm
@@ -407,3 +408,35 @@ def brute_newton_slopes(coeffs, p):
         val = f[x] - f[x + 1]
         counts[val] = counts.get(val, 0) + 1
     return tuple(sorted(counts.items()))
+
+
+def transvected(g, steps):
+    """g in the basis changed by each (i, j, c) of steps in turn: basis
+    vector i gains c times basis vector j, so column and row i of g gain c
+    times column and row j (i = j is skipped)."""
+    g = [list(row) for row in g]
+    for i, j, c in steps:
+        if i != j:
+            for row in g:
+                row[i] += c * row[j]
+            g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+    return g
+
+
+@st.composite
+def definite_grams(draw, max_rank=6):
+    """(g, sign): sign (A^T A + E), E a positive diagonal, skewed by up to
+    12 transvections, so g is definite of that sign."""
+    n = draw(st.integers(1, max_rank))
+    sign = draw(st.sampled_from([1, -1]))
+    ints = st.integers(-4, 4)
+    a = draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    e = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    g = la.congruence(a, la.identity(n))
+    g = [[sign * (x + e[i] * (i == j)) for j, x in enumerate(row)]
+         for i, row in enumerate(g)]
+    index = st.integers(0, n - 1)
+    steps = draw(st.lists(st.tuples(index, index, st.integers(-3, 3)),
+                          max_size=12))
+    return transvected(g, steps), sign

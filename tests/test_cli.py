@@ -479,6 +479,27 @@ def test_pointed_makes_one_smith_form_of_its_lattice(capsys, monkeypatch):
     assert len(gram) == 23 and grams.count(gram) == 1
 
 
+def test_pointed_compares_a_point_with_itself_on_one_complement(capsys,
+                                                               monkeypatch):
+    # point2 = point: one Smith form each of the 23x23 Gram, the 1x23
+    # constraint row and the 22x22 complement, none of them twice
+    case = json.loads((Path(__file__).parent / "golden"
+                       / "pointed_k3n_skewed_pair_at_p.json").read_text())
+    doc = json.loads(case["stdin"])
+    assert doc["point2"] == doc["point"]
+    real = la.smith_normal_form
+    shapes = []
+
+    def counted(a):
+        shapes.append((len(a), len(a[0])))
+        return real(a)
+
+    monkeypatch.setattr(la, "smith_normal_form", counted)
+    got = run_cli(capsys, monkeypatch, case["argv"], case["stdin"])
+    assert got == (0, case["stdout"], "")
+    assert sorted(shapes) == [(1, 23), (22, 22), (23, 23)]
+
+
 def test_pointed_below_two_planes_is_exit_3(capsys, monkeypatch):
     # U + <2> has signature (2, 1), so it cannot contain U + U
     doc = {"gram": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "2"]],

@@ -2,7 +2,8 @@
 limit is enforced through the helpers in errors.py, disc_form.py makes a
 Fraction only where a value leaves a form, a Gram matrix is checked and
 eliminated by one helper each, Smith forms are made only in lattice_core,
-and U + U is decided in one place from the Gram matrix alone."""
+only QuadLattice makes an LLL reduction, and U + U is decided in one place
+from the Gram matrix alone."""
 
 import ast
 import importlib
@@ -136,6 +137,13 @@ def test_smith_forms_made_only_in_lattice_core():
                 and node.name == "integer_kernel")
 
     assert _holders(kernel) == set()
+
+
+def test_lll_reductions_made_only_by_quad_lattice():
+    # a QuadLattice keeps the reduction of its definite Gram matrix, which
+    # vectors_of_norm reads
+    assert _holders(_calls("lll_reduction")) == {
+        ("lattice_core", "QuadLattice")}
 
 
 def test_two_planes_decided_in_one_place_without_tags():

@@ -1,10 +1,14 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import k3lattice._intlinalg as la
-from helpers import (box_vectors, conjugate_gram, random_unimodular,
-                     sufficient_box, sympy_det)
+from helpers import (box_vectors, conjugate_gram, definite_grams,
+                     random_unimodular, sufficient_box, sympy_det,
+                     transvected)
 from k3lattice import (CapacityError, DomainError, QuadLattice, direct_sum,
                        enumeration, find_vector_norm_prime_to_p, inner_product,
                        is_isometric_definite, make_E8, make_rank1, make_U,
@@ -63,12 +67,35 @@ def test_agreement_with_box_enumeration():
         done += 1
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(definite_grams(max_rank=3), st.integers(0, 8))
+def test_skewed_definite_lattices_against_box_enumeration(case, m):
+    g, sign = case
+    box = sufficient_box([[sign * x for x in row] for row in g], m)
+    assert vectors_of_norm(QuadLattice(g), sign * m).vectors == tuple(
+        box_vectors(g, sign * m, box))
+
+
+def test_e8_skewed_past_1e6_finds_its_roots_in_under_a_second():
+    # transvections until an entry passes 10^6: the search runs on the
+    # kept reduced basis, whatever the skew of the input
+    rng = random.Random(5)
+    g = make_E8().gram
+    while max(abs(x) for row in g for x in row) <= 10 ** 6:
+        g = transvected(g, [(*rng.sample(range(8), 2), rng.choice((-1, 1)))])
+    start = time.perf_counter()
+    roots = vectors_of_norm(QuadLattice(g), -2)
+    assert time.perf_counter() - start < 1
+    assert len(roots) == 240
+    assert all(la.vec_mat_vec(v, g, v) == -2 for v in roots.vectors)
+
+
 def test_node_budget(monkeypatch):
-    # one level, t in -1..1: three coordinate values
-    monkeypatch.setattr(enumeration, "NODE_BUDGET", 3)
-    assert len(vectors_of_norm(make_rank1(2), 2)) == 2
+    # one level, searched up to sign: t in 0..1, two coordinate values
     monkeypatch.setattr(enumeration, "NODE_BUDGET", 2)
-    with pytest.raises(CapacityError, match="NODE_BUDGET = 2"):
+    assert len(vectors_of_norm(make_rank1(2), 2)) == 2
+    monkeypatch.setattr(enumeration, "NODE_BUDGET", 1)
+    with pytest.raises(CapacityError, match="NODE_BUDGET = 1"):
         vectors_of_norm(make_rank1(2), 2)
     monkeypatch.setattr(enumeration, "NODE_BUDGET", 1000)
     with pytest.raises(CapacityError, match="NODE_BUDGET"):
@@ -154,7 +181,7 @@ def test_isometry_search_verdicts():
 
 def test_isometry_search_node_budget(monkeypatch):
     # A2 to A2: two levels of the six roots, 12 candidate images; the
-    # enumeration of the roots visits 10 coordinate values
+    # enumeration of the roots visits 6 coordinate values
     a2 = QuadLattice(((2, -1), (-1, 2)))
     monkeypatch.setattr(enumeration, "NODE_BUDGET", 12)
     assert is_isometric_definite(a2, a2) is not None

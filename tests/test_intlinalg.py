@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 import k3lattice._intlinalg as la
-from helpers import sympy_det
+from helpers import definite_grams, sympy_det
+from k3lattice import QuadLattice
 
 # property tests stay deterministic so that tier-1 runs are reproducible
 ORACLE = settings(derandomize=True, deadline=None, database=None,
@@ -123,6 +124,34 @@ def test_elimination_factors_definite_matrices(n, sign, data):
     assert la.vec_mat_vec(x, g, x) == sum(
         Fraction(sum(map(mul, row, x)) ** 2, p * d)
         for row, p, d in zip(rows, prev, minors))
+
+
+@ORACLE
+@given(definite_grams())
+def test_lll_reduction_of_definite_grams(case):
+    # the reduction a lattice keeps is of sign G: h is unimodular, its
+    # minors and stage rows are the elimination of r = h (sign G) h^T, and
+    # r is size-reduced and meets the Lovasz condition for delta = 3/4
+    g, sign = case
+    n = len(g)
+    h, minors, rows = QuadLattice(g)._reduction
+    assert sympy_det(h) in (1, -1)
+    r = la.mat_mul(h, la.mat_mul([[sign * x for x in row] for row in g],
+                                 la.transpose(h)))
+    assert (minors, rows) == la.symmetric_elimination(r)
+    d = [1] + minors
+    for k in range(1, n):
+        assert all(2 * abs(rows[j][k]) <= d[j + 1] for j in range(k))
+        lam = rows[k - 1][k]
+        assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam ** 2
+
+
+@pytest.mark.parametrize("g", [[[0]], [[-2]], [[0, 1], [1, 0]],
+                               [[1, 2], [2, 1]], [[2, 1], [1, -3]],
+                               [[2, 0, 0], [0, 2, 0], [0, 0, 0]]])
+def test_lll_reduction_refuses_matrices_not_positive_definite(g):
+    with pytest.raises(ValueError, match="not positive definite"):
+        la.lll_reduction(g)
 
 
 @pytest.mark.parametrize("a", [[[1, 2]], [[1], [2]], [[0, 1], [2, 0]],
