@@ -2,10 +2,11 @@
 and JSON out.
 
 Exit codes: 0 success, 2 malformed input or flags, 3 domain violation,
-4 inconsistent data.  All integers in payloads are decimal strings so that
-arbitrary-precision values survive JSON.  Output is byte-identical for
-identical input; volatile metadata only appears under --meta, outside the
-data object.
+4 inconsistent data.  One writer, ``_json``, turns a result into JSON text
+in one pass, every integer and rational as an exact decimal string that
+survives JSON, and main writes nothing before the whole text is built.
+Output is byte-identical for identical input; volatile metadata only
+appears under --meta, outside the data object.
 """
 
 import argparse
@@ -95,23 +96,23 @@ def _frac(x):
     raise InvalidGramError(f"expected a rational string: {x!r}")
 
 
-def _s(x):
-    """Serialize exact values: ints and Fractions become decimal strings.
-    main applies it once to the data object a command returns."""
-    if isinstance(x, bool) or x is None:
-        return x
-    try:
-        if isinstance(x, int):
-            return str(x)
-        if isinstance(x, Fraction):
-            return str(x) if x.denominator > 1 else str(x.numerator)
-    except ValueError:  # str() of an integer past the digit limit
-        raise _digit_limit_error("a result integer") from None
-    if isinstance(x, (list, tuple)):
-        return [_s(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _s(v) for k, v in x.items()}
-    return x
+def _json(x, pad="\n"):
+    """json.dumps(x, indent=2, sort_keys=True), but each int and Fraction as
+    an exact decimal string; pad is the newline and indent of x's line.  An
+    int past the digit limit raises ValueError."""
+    if isinstance(x, (dict, list, tuple)):
+        inner = pad + "  "
+        if isinstance(x, dict):
+            ends, items = "{}", [f"{json.dumps(k)}: {_json(x[k], inner)}"
+                                 for k in sorted(x)]
+        else:  # ints, the bulk of a large result, are written without a call
+            ends, items = "[]", [f'"{v}"' if type(v) is int
+                                 else _json(v, inner) for v in x]
+        return (ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+                if items else ends)
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        return json.dumps(x)  # a str, bool or None
+    return f'"{x}"'
 
 
 def _array(obj, field, entry):
@@ -430,8 +431,17 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     cmd = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        data = _s(cmd(args) if args.command == "density"
-                  else cmd(_read_payload()))
+        data = (cmd(args) if args.command == "density"
+                else cmd(_read_payload()))
+        if args.meta:
+            data = {"data": data, "meta": {
+                "tool": "k3lattice", "version": __version__,
+                "generated_at": datetime.datetime.now(
+                    datetime.timezone.utc).isoformat()}}
+        try:
+            text = _json(data)
+        except ValueError:  # str() of an integer past the digit limit
+            raise _digit_limit_error("a result integer") from None
     except InconsistencyError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
@@ -442,20 +452,7 @@ def main(argv=None):
     except (InvalidGramError, KeyError, TypeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.meta:
-        payload = {
-            "data": data,
-            "meta": {
-                "tool": "k3lattice",
-                "version": __version__,
-                "generated_at":
-                    datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            },
-        }
-    else:
-        payload = data
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(text + "\n")
     return 0
 
 

@@ -1,7 +1,8 @@
 """Exact searches: Fincke-Pohst enumeration of the vectors of one norm in
 a definite lattice (the CLI's ``enumerate``), on the LLL-reduced basis the
 lattice keeps and up to sign, isometry search between definite lattices
-with a witness, and a vector of norm prime to p.
+with a witness (from the first lattice's kept reduced basis), and a vector
+of norm prime to p.
 """
 
 from dataclasses import dataclass
@@ -114,7 +115,10 @@ def is_isometric_definite(l1, l2):
     if l1.det != l2.det:
         return None
     n = l1.rank
-    g1 = l1.gram
+    # search for the images of l1's kept reduced basis, the rows of h, whose
+    # Gram matrix g1 = h G1 h^T has small diagonal norms
+    h = l1._reduction[0]
+    g1 = la.congruence(la.transpose(h), l1.gram)
     candidates = {}
     for i in range(n):
         norm = g1[i][i]
@@ -147,8 +151,12 @@ def is_isometric_definite(l1, l2):
 
     if not place(0):
         return None
-    g = tuple(tuple(images[j][i] for j in range(n)) for i in range(n))
-    assert la.congruence(g, l2.gram) == [list(r) for r in g1]
+    # e_i = sum_j (h^-1)_ij h_j, and the row HNF of [h | I] is [I | h^-1]
+    hinv = [row[n:] for row in la.hermite_normal_form(
+        [row + e for row, e in zip(h, la.identity(n))])]
+    g = tuple(tuple(sum(map(mul, hinv[j], col)) for j in range(n))
+              for col in zip(*images))
+    assert la.congruence(g, l2.gram) == [list(r) for r in l1.gram]
     return g
 
 

@@ -3,7 +3,8 @@
 The oracles here are deliberately independent of the package internals:
 the permutation-sum evaluator follows the defining normalized sum over all
 orderings, the box enumerator scans a provably sufficient coordinate box,
-and the form-isomorphism search tries every image of the generators.
+the form-isomorphism search tries every image of the generators, and
+``reference_s`` turns a CLI result into the strings json.dumps writes.
 """
 
 import itertools
@@ -440,3 +441,37 @@ def definite_grams(draw, max_rank=6):
     steps = draw(st.lists(st.tuples(index, index, st.integers(-3, 3)),
                           max_size=12))
     return transvected(g, steps), sign
+
+
+def reference_s(x):
+    """x with each int and Fraction as its decimal string, tuples as lists,
+    and everything else as it is; the CLI writes a result x as
+    json.dumps(reference_s(x), indent=2, sort_keys=True) gives it."""
+    if isinstance(x, bool) or x is None:
+        return x
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, Fraction):
+        return str(x) if x.denominator > 1 else str(x.numerator)
+    if isinstance(x, (list, tuple)):
+        return [reference_s(v) for v in x]
+    if isinstance(x, dict):
+        return {k: reference_s(v) for k, v in x.items()}
+    return x
+
+
+# strings that need escaping: quotes, backslashes, control characters and
+# text past ASCII
+_ESCAPED = st.text(st.sampled_from(
+    '"\\/\n\t\x00\x1f\x7f a\xe9\u20ac\U0001f600'))
+
+# what a CLI command may return: nested dicts, lists and tuples of ints (past
+# 2^64 too), Fractions, bools, None and strings, empty containers included
+cli_results = st.recursive(
+    st.one_of(st.integers(), st.integers(-(1 << 200), 1 << 200),
+              st.fractions(), st.booleans(), st.none(), st.text(),
+              _ESCAPED),
+    lambda inner: st.one_of(
+        st.lists(inner), st.lists(inner).map(tuple),
+        st.dictionaries(st.one_of(st.text(), _ESCAPED), inner)),
+    max_leaves=20)

@@ -3,12 +3,15 @@ import json
 import random
 import sys
 import time
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
 
+from helpers import cli_results, reference_s
 from k3lattice import k3n_lattice, make_E8
 from k3lattice import _intlinalg as la
 from k3lattice import cli
@@ -398,6 +401,97 @@ def test_inputs_within_digit_limit_parse(capsys, monkeypatch):
                            {"n": 1, "xi": [f"{half}.{half}"], "q": [["1"]]})
     assert code == 0
     assert json.loads(out)["q"] == [["1"]]
+
+
+@pytest.mark.parametrize("meta", [[], ["--meta"]], ids=["bare", "meta"])
+@pytest.mark.parametrize("result", [
+    {"order": 10 ** 5000}, {"vectors": [[1, 10 ** 5000]]},
+    {"q": [Fraction(1, 10 ** 5000)]}, [{"det": -10 ** 5000}],
+], ids=["dict-value", "list-entry", "fraction", "nested"])
+def test_result_past_digit_limit_exits_3(capsys, monkeypatch, meta, result):
+    # the whole text is built before anything is written
+    monkeypatch.setattr(cli, "cmd_jordan", lambda payload: result)
+    code, out, err = run_cli(capsys, monkeypatch, [*meta, "jordan"], {})
+    limit = sys.get_int_max_str_digits()
+    assert (code, out) == (3, "")
+    assert err == (f"error: a result integer has more than {limit} digits, "
+                   f"the limit of sys.get_int_max_str_digits() = {limit}\n")
+
+
+def test_golden_result_past_digit_limit_with_meta(capsys, monkeypatch):
+    case = json.loads((Path(__file__).parent / "golden"
+                       / "error_disc_result_past_digit_limit.json")
+                      .read_text())
+    got = run_cli(capsys, monkeypatch, ["--meta", *case["argv"]],
+                  case["stdin"])
+    assert got == (case["exit"], "", case["stderr"]) and got[0] == 3
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(cli_results)
+def test_json_writer_matches_the_stdlib_encoder(x):
+    assert cli._json(x) == json.dumps(reference_s(x), indent=2,
+                                      sort_keys=True)
+
+
+def test_json_writer_layout():
+    assert cli._json({}) == "{}" and cli._json(()) == "[]"
+    assert cli._json({"b": [], "a": (1, Fraction(4, 2), Fraction(-1, 3)),
+                      "c": {"d": [True, None, "é\n"]}}) == (
+        '{\n  "a": [\n    "1",\n    "2",\n    "-1/3"\n  ],\n  "b": [],\n'
+        '  "c": {\n    "d": [\n      true,\n      null,\n'
+        '      "\\u00e9\\n"\n    ]\n  }\n}')
+
+
+@pytest.mark.parametrize("payload, message", [
+    ('{"gram": [[true]]}', "expected an integer, got a boolean"),
+    ('{"gram": [[1.5]]}', "expected an integer or decimal string: 1.5"),
+    ('{"gram": [["x"]]}', "invalid literal"),
+    ('{"gram": []}', "gram must be a non-empty 2-D array"),
+    ('{"gram": [1]}', "gram must be a 2-D array"),
+    ('{"gramm": [["2"]]}', "document must contain a 'gram' field"),
+    ('[["2"]]', "document must contain a 'gram' field"),
+], ids=["boolean", "float", "not-a-number", "empty", "one-dimensional",
+        "no-gram", "bare-array"])
+def test_gram_document_checks_are_exit_2(capsys, monkeypatch, payload,
+                                         message):
+    code, out, err = run_cli(capsys, monkeypatch, ["disc"], payload)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"n": 1, "xi": ["1", "0"], "q": [["2"]]},
+     "q must have one row per entry of xi"),
+    ({"n": 1, "xi": ["1"], "xi_norm": "2"},
+     "payload needs 'degree', 'q' or 'w_basis_values'"),
+    ('{"n": 1, "xi": [1.5], "q": [["1"]]}', "expected a rational string"),
+    ({"n": 1, "xi": ["1/x"], "q": [["1"]]}, "Invalid literal for Fraction"),
+], ids=["q-rows", "no-mode", "xi-float", "xi-not-a-fraction"])
+def test_bb_recover_input_checks_are_exit_2(capsys, monkeypatch, payload,
+                                            message):
+    code, out, err = run_cli(capsys, monkeypatch, ["bb-recover"], payload)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_bb_recover_reads_json_integers_in_xi(capsys, monkeypatch):
+    q = [["2", "1"], ["1", "-4"]]
+    outs = [run_cli(capsys, monkeypatch, ["bb-recover"],
+                    {"n": 2, "xi": xi, "q": q})
+            for xi in (["1", "0"], [1, 0])]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert json.loads(outs[0][1])["q"] == q
+
+
+def test_mukai_reads_ns_as_a_document(capsys, monkeypatch):
+    ns = [["2"]]
+    outs = [run_cli(capsys, monkeypatch, ["mukai"],
+                    {"ns": doc, "v": {"r": "1", "c1": ["0"], "s": "-1"},
+                     "w": {"r": "0", "c1": ["1"], "s": "0"}, "p": "5"})
+            for doc in (ns, {"gram": ns})]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert json.loads(outs[0][1])["disc_check"]["orders_match"] is True
 
 
 def test_jordan(capsys, monkeypatch):

@@ -305,6 +305,18 @@ def test_forms_not_isomorphic():
     assert forms_isomorphic(d_plus, d_plus)
 
 
+def test_forms_with_other_groups_or_moduli_are_not_isomorphic():
+    # decided before any element is listed: Z/2 against Z/4, and the even
+    # <2> (q in Q/2Z) against the odd <2> + <1> (q in Q/Z), both Z/2
+    two, four = (discriminant_group(make_rank1(m)) for m in (2, 4))
+    odd = discriminant_group(direct_sum(make_rank1(2), make_rank1(1)))
+    assert two.invariant_factors == odd.invariant_factors == (2,)
+    assert (two.modulus, odd.modulus) == (2, 1)
+    assert not forms_isomorphic(two, four)
+    assert not forms_isomorphic(two, odd)
+    assert not forms_isomorphic(odd, two)
+
+
 def test_forms_isomorphic_group_order_limit():
     at_limit = discriminant_group(make_rank1(MAX_GROUP_ORDER))
     assert forms_isomorphic(at_limit, at_limit)

@@ -2,8 +2,9 @@
 limit is enforced through the helpers in errors.py, disc_form.py makes a
 Fraction only where a value leaves a form, a Gram matrix is checked and
 eliminated by one helper each, Smith forms are made only in lattice_core,
-only QuadLattice makes an LLL reduction, and U + U is decided in one place
-from the Gram matrix alone."""
+only QuadLattice makes an LLL reduction, U + U is decided in one place
+from the Gram matrix alone, and one writer, cli._json, turns every CLI
+result into its JSON text."""
 
 import ast
 import importlib
@@ -163,3 +164,12 @@ def test_two_planes_decided_in_one_place_without_tags():
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
         assert "summands" not in text and "provenance" not in text, path.name
+
+
+def test_one_json_writer():
+    # cli._json writes a result in one pass; nothing copies it into strings
+    # first, and nothing else encodes JSON
+    assert _holders(_calls("dump")) == set()
+    assert _holders(_calls("dumps")) == {("cli", "_json")}
+    assert _holders(lambda node: isinstance(node, ast.FunctionDef)
+                    and node.name == "_s") == set()

@@ -40,6 +40,9 @@ def test_rank_one_examples():
     assert vectors_of_norm(make_rank1(2), 3).vectors == ()
     assert vectors_of_norm(make_rank1(2), 0).vectors == ((0,),)
     assert vectors_of_norm(make_rank1(-2), -2).vectors == ((-1,), (1,))
+    # a norm of the other sign than the lattice has no vectors
+    assert vectors_of_norm(make_rank1(2), -2).vectors == ()
+    assert vectors_of_norm(make_E8(), 2).vectors == ()
 
 
 def test_indefinite_rejected():
@@ -160,6 +163,27 @@ def test_built_lattices_are_not_eliminated_again(monkeypatch):
     assert len(vectors_of_norm(twisted, -2)) == 240
     assert is_isometric_definite(e8, twisted) is not None
     assert calls == []
+
+
+def test_isometry_search_from_skewed_e8_in_under_a_second():
+    # E8's Cartan matrix under transvections until an entry reaches 300
+    # (308): the search places images of the first lattice's kept reduced
+    # basis, all of norm 2, whatever the skew of its given basis
+    cartan = [[2 * (i == j) for j in range(8)] for i in range(8)]
+    for i, j in [(i, i + 1) for i in range(6)] + [(4, 7)]:
+        cartan[i][j] = cartan[j][i] = -1
+    e8 = QuadLattice(cartan)
+    rng = random.Random(1)
+    g = cartan
+    while max(abs(x) for row in g for x in row) < 300:
+        g = transvected(g, [(*rng.sample(range(8), 2), rng.choice((-1, 1)))])
+    assert max(abs(x) for row in g for x in row) == 308
+    skewed = QuadLattice(g)
+    start = time.perf_counter()
+    w = is_isometric_definite(skewed, e8)
+    assert time.perf_counter() - start < 1
+    assert la.congruence(w, cartan) == [list(r) for r in g]
+    assert la.congruence(is_isometric_definite(e8, skewed), g) == cartan
 
 
 def test_isometry_search_verdicts():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from operator import mul
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 import k3lattice._intlinalg as la
-from helpers import definite_grams, sympy_det
+from helpers import (definite_grams, random_unimodular, sympy_det,
+                     sympy_inverse)
 from k3lattice import QuadLattice
 
 # property tests stay deterministic so that tier-1 runs are reproducible
@@ -161,6 +163,27 @@ def test_elimination_refuses_non_symmetric_input(a):
         la.symmetric_elimination(a)
     with pytest.raises(ValueError):
         la.det(a)
+
+
+def test_hermite_normal_form_examples():
+    assert la.hermite_normal_form([]) == []
+    assert la.hermite_normal_form([[0, 0]]) == []
+    # a negative pivot is made positive, and the entry above the second
+    # pivot is reduced into [0, 3)
+    assert la.hermite_normal_form([[-2, 3]]) == [[2, -3]]
+    assert la.hermite_normal_form([[-2, 1], [0, -3]]) == [[2, 2], [0, 3]]
+
+
+@ORACLE
+@given(st.integers(1, 6), st.integers(0, 2 ** 32))
+def test_hermite_normal_form_of_h_beside_identity_gives_its_inverse(n, seed):
+    # the row HNF of [h | I] for unimodular h is [I | h^-1], as the isometry
+    # search uses it
+    h = la.transpose(random_unimodular(n, random.Random(seed)))
+    hnf = la.hermite_normal_form([row + e for row, e in
+                                  zip(h, la.identity(n))])
+    assert [row[:n] for row in hnf] == la.identity(n)
+    assert [row[n:] for row in hnf] == sympy_inverse(h)
 
 
 @ORACLE

@@ -151,6 +151,8 @@ def test_pointed_invariants_k3_square():
     assert inv_v.point_norm == 2
     assert inv_v == inv_w
     assert inv_v == pointed_invariants(lam, [-x for x in v])
+    assert hash(inv_v) == hash(inv_w)
+    assert len({inv_v, inv_w}) == 1
     w4 = [0] * 23
     w4[0], w4[1] = 1, 2
     assert inv_v != pointed_invariants(lam, w4)

@@ -21,6 +21,12 @@ ORACLE = settings(derandomize=True, deadline=None, database=None,
                   max_examples=300)
 
 
+def test_sieve_below_two_and_deviation_without_theory():
+    assert sieve_primes(1) == [] and sieve_primes(0) == []
+    rep = empirical_density(lambda p: p % 4 == 1, 100)
+    assert rep.theoretical_density is None and rep.deviation() is None
+
+
 def test_kronecker_examples():
     assert kronecker_symbol(-3, 7) == 1
     assert kronecker_symbol(-3, 5) == -1
