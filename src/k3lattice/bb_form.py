@@ -232,10 +232,9 @@ def degree_to_bb(d, n):
     # The interval is the one that bisecting [0, h] returns, without the
     # bisection: the m halvings down to INTERVAL_WIDTH end on the cell of
     # step s = h/2^m that holds the root, [a s, (a+1) s] with
-    # a = floor(root/s) the floor of the n-th root of target/s^n.
-    h = max(1, isqrt(target.numerator // target.denominator) + 1)
-    while h ** n < target:
-        h *= 2
+    # a = floor(root/s) the floor of the n-th root of target/s^n.  Here
+    # n >= 2 (n = 1 has an exact root), and h^2 > target gives h^n > target.
+    h = isqrt(target.numerator // target.denominator) + 1
     cells = -(-h * INTERVAL_WIDTH.denominator // INTERVAL_WIDTH.numerator)
     m = (cells - 1).bit_length()
     x = (target.numerator << (m * n)) // (target.denominator * h ** n)

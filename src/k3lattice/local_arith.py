@@ -7,15 +7,18 @@ blocks over the p-adic integers:
   elimination over the integers mod p^(v+1), v = v_p(det), that keeps no
   basis; every scale is at most v, so that precision is exact.
 * The Artin invariant's witness bases come from an exact block
-  diagonalization over the local ring of p-integral rationals: every
-  transformation matrix has p-unit determinant and p-integral entries, so
-  the witnesses are exact rational vectors.
+  diagonalization over the local ring of p-integral rationals, one step per
+  1x1 or 2x2 pivot on the trailing block only: every transformation matrix
+  has p-unit determinant and p-integral entries, so the witnesses are exact
+  rational vectors.
 """
 
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import add, mul
 
 from . import _intlinalg as la
 from .disc_form import disc_local_part, discriminant_group, forms_isomorphic
@@ -48,6 +51,10 @@ def _block_split(gram, p):
     Fraction matrix equal to p^scale times a p-unimodular matrix and basis
     holds the corresponding p-integral basis vectors (ambient coordinates).
     2x2 blocks occur only for p = 2.
+
+    One step serves both pivot shapes: the pivot block b moves to k.., and
+    each later row t gains -(a_tk, ...) b^-1 times its rows.  Rows and
+    columns before k are never read again, so Gram updates skip them.
     """
     n = len(gram)
     a = [[Fraction(x) for x in row] for row in gram]
@@ -55,16 +62,15 @@ def _block_split(gram, p):
 
     def swap(i, j):
         a[i], a[j] = a[j], a[i]
-        for row in a:
+        for row in a[k:]:
             row[i], row[j] = row[j], row[i]
         basis[i], basis[j] = basis[j], basis[i]
 
     def add_to(i, j, f):
         # basis vector b_i += f * b_j, with the symmetric Gram update
-        for c in range(n):
-            a[i][c] += f * a[j][c]
-        for r in range(n):
-            a[r][i] += f * a[r][j]
+        a[i][k:] = [x + f * y for x, y in zip(a[i][k:], a[j][k:])]
+        for row in a[k:]:
+            row[i] += f * row[j]
         basis[i] = [x + f * y for x, y in zip(basis[i], basis[j])]
 
     blocks = []
@@ -85,34 +91,27 @@ def _block_split(gram, p):
             # a[i][i] + 2 a[i][j] + a[j][j] has valuation exactly v
             add_to(i, j, Fraction(1))
             diag = i
-        if diag is not None:
-            swap(k, diag)
-            d = a[k][k]
-            for t in range(k + 1, n):
-                if a[t][k] != 0:
-                    add_to(t, k, -a[t][k] / d)
-            blocks.append((v, [[d]], [tuple(basis[k])]))
-            k += 1
+        # a diagonal pivot, or the 2x2 block on i < j when p = 2 has its
+        # minimal valuation only off the diagonal; ascending swaps leave the
+        # later targets in place
+        piv = (i, j) if diag is None else (diag,)
+        s = len(piv)
+        for r, t in enumerate(piv):
+            swap(k + r, t)
+        b = [row[k:k + s] for row in a[k:k + s]]
+        # -b^-1 = m / d in closed form; b is symmetric, so m is
+        if s == 1:
+            d, m = b[0][0], [[-1]]
         else:
-            # p = 2 with minimal valuation only off the diagonal; here
-            # j > i >= k, so the swaps leave the target entries in place
-            swap(k, i)
-            swap(k + 1, j)
-            b = [[a[k][k], a[k][k + 1]], [a[k + 1][k], a[k + 1][k + 1]]]
             d = b[0][0] * b[1][1] - b[0][1] * b[1][0]
-            for t in range(k + 2, n):
-                # (f0, f1) = -(c0, c1) b^-1, with b^-1 in closed form
-                c0 = a[t][k]
-                c1 = a[t][k + 1]
-                f0 = (c1 * b[1][0] - c0 * b[1][1]) / d
-                f1 = (c0 * b[0][1] - c1 * b[0][0]) / d
-                if f0 != 0:
-                    add_to(t, k, f0)
-                if f1 != 0:
-                    add_to(t, k + 1, f1)
-            blocks.append((v, [[b[0][0], b[0][1]], [b[1][0], b[1][1]]],
-                           [tuple(basis[k]), tuple(basis[k + 1])]))
-            k += 2
+            m = [[-b[1][1], b[0][1]], [b[1][0], -b[0][0]]]
+        for t in range(k + s, n):
+            fs = [reduce(add, map(mul, a[t][k:k + s], x)) / d for x in m]
+            for r, f in enumerate(fs):
+                if f != 0:
+                    add_to(t, k + r, f)
+        blocks.append((v, b, [tuple(x) for x in basis[k:k + s]]))
+        k += s
     return blocks
 
 

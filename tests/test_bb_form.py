@@ -35,6 +35,8 @@ def test_matching_counts():
     assert [perfect_matchings(n) for n in range(5)] == [1, 1, 3, 15, 105]
     for n in range(1, 7):
         assert (2 * n - 1) * perfect_matchings(n - 1) == perfect_matchings(n)
+    with pytest.raises(DomainError, match="^n must be >= 0$"):
+        perfect_matchings(-1)
 
 
 def test_single_matching_is_the_form():

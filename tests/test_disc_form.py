@@ -229,6 +229,8 @@ def test_acts_trivially_identity_and_swap():
     with pytest.raises(DomainError):
         # m = 1 does not kill the discriminant of <2> + <2>
         acts_trivially_on_disc(lat, ((1, 0), (0, 1)), 1)
+    with pytest.raises(DomainError, match="^m must be positive$"):
+        acts_trivially_on_disc(lat, ((1, 0), (0, 1)), 0)
 
 
 def test_acts_trivially_refuses_non_integral_input():

@@ -233,6 +233,27 @@ def test_isometry_search_d8_against_e7_a1_is_bounded():
     assert is_isometric_definite(d8, e7_a1) is None
 
 
+def test_isometry_search_exhausts_the_candidates(monkeypatch):
+    # det 8 both, and the same shells at l1's reduced diagonal norms 1 and
+    # 3, so only the candidate search can refuse; norm 2 holds no vector of
+    # l1 and two of l2, which certifies the refusal
+    l1 = QuadLattice(((1, 0, 0), (0, 3, -1), (0, -1, 3)))
+    l2 = QuadLattice(((1, -1, 0), (-1, 3, 0), (0, 0, 4)))
+    assert l1.det == l2.det == 8
+    h = l1._reduction[0]
+    assert sorted(row[i] for i, row in enumerate(
+        la.congruence(la.transpose(h), l1.gram))) == [1, 3, 3]
+    for m in (1, 3):
+        assert len(vectors_of_norm(l1, m)) == len(vectors_of_norm(l2, m))
+    assert (len(vectors_of_norm(l1, 2)), len(vectors_of_norm(l2, 2))) == \
+        (0, 2)
+    assert is_isometric_definite(l1, l2) is None
+    # the verdict came from the search: a zero budget stops it
+    monkeypatch.setattr(enumeration, "NODE_BUDGET", 0)
+    with pytest.raises(CapacityError, match="NODE_BUDGET = 0"):
+        is_isometric_definite(l1, l2)
+
+
 def test_isometry_search_random_pairs():
     rng = random.Random(19)
     done = 0

@@ -65,6 +65,14 @@ def test_gram_validation():
         QuadLattice(((0, 1),))
     with pytest.raises(DegenerateLatticeError):
         QuadLattice(((1, 1), (1, 1)))
+    with pytest.raises(InvalidGramError,
+                       match="^Gram matrix must be non-empty$"):
+        QuadLattice([])
+
+
+def test_repr_shows_rank_and_det():
+    assert repr(make_U()) == "QuadLattice(rank=2, det=-1)"
+    assert repr(make_E8()) == "QuadLattice(rank=8, det=1)"
 
 
 def test_non_integral_input_is_refused():
@@ -143,6 +151,12 @@ def test_orthogonal_complement_hyperbolic():
 def test_orthogonal_complement_rank1_is_zero():
     with pytest.raises(DomainError, match="complement .* is zero"):
         orthogonal_complement(make_rank1(2), (1,))
+
+
+def test_orthogonal_complement_of_zero_vector_is_refused():
+    with pytest.raises(DomainError, match="^cannot take the complement of "
+                                          "the zero vector$"):
+        orthogonal_complement(make_U(), (0, 0))
 
 
 def test_orthogonal_complement_isotropic_degenerate():

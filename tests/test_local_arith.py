@@ -91,6 +91,12 @@ def test_jordan_det_valuation():
             assert dec.det_valuation() == vdet
 
 
+def test_valuation_of_zero_is_refused():
+    assert _val(Fraction(-18, 5), 3) == 2 and _val(Fraction(2, 45), 3) == -2
+    with pytest.raises(ValueError, match="^valuation of zero$"):
+        _val(0, 3)
+
+
 def test_selfdual_examples():
     for n in (2, 3, 4, 7):
         lat = k3n_lattice(n)
@@ -158,6 +164,9 @@ def test_pointed_invariants_k3_square():
     assert inv_v != pointed_invariants(lam, w4)
     with pytest.raises(DomainError):
         pointed_invariants(lam, [2 * x for x in v])
+    # another type is left to Python, which compares identity
+    assert inv_v.__eq__(object()) is NotImplemented
+    assert inv_v != object() and not inv_v == object()
 
 
 def test_pointed_invariants_match_brute_force_small():

@@ -26,6 +26,8 @@ def test_hilbert_vector_squares():
         v = hilbert_scheme_vector(n, ns)
         assert mukai_pairing(v, v, ns) == 2 * n - 2
         assert mukai_pairing(v, v, ns) + 2 == 2 * n
+    with pytest.raises(DomainError, match="^n must be >= 1$"):
+        hilbert_scheme_vector(0, ns)
 
 
 def test_pairing_formula():
@@ -271,6 +273,8 @@ def test_supersingularity_predicate():
     slope2 = newton_polygon([p ** 4, 0, 1], p)  # valuations 2, 2
     assert is_supersingular_newton(slope2, 4)
     assert not is_supersingular_newton(slope2, 2)
+    with pytest.raises(DomainError, match="^weight must be positive$"):
+        is_supersingular_newton(slope2, 0)
 
 
 def test_crystal_pairing_examples():
@@ -307,6 +311,10 @@ def test_crystal_pairing_validation():
     # an empty pairing would pass check_k3_crystal_pairing, det(()) being 1
     with pytest.raises(DomainError, match="pairing must be non-empty"):
         FrobeniusPairingInstance((), (), 5)
+    for f in (((1, 0), (0, 1)), ((1, 0, 0), (0, 1), (0, 0, 1))):
+        with pytest.raises(DomainError,
+                           match="^frobenius must have the pairing's size$"):
+            FrobeniusPairingInstance(f, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 5)
     for p in (4, 1, 0, -5):
         with pytest.raises(DomainError, match=f"^{p} is not prime$"):
             FrobeniusPairingInstance(((1, 0), (0, 1)), ((0, 1), (1, 0)), p)

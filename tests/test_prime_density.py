@@ -14,7 +14,8 @@ from k3lattice import (CapacityError, DomainError, empirical_density,
                        fermat_cubic_supersingular, field_discriminant,
                        is_inert, is_prime, is_ramified, kronecker_symbol,
                        sieve_primes, squarefree_part, union_inert_density)
-from k3lattice.prime_density import RHO_STEP_BUDGET, SIEVE_LIMIT, factorize
+from k3lattice.prime_density import (RHO_STEP_BUDGET, SIEVE_LIMIT,
+                                     _strong_lucas_probable_prime, factorize)
 
 # property tests stay deterministic so that tier-1 runs are reproducible
 ORACLE = settings(derandomize=True, deadline=None, database=None,
@@ -85,6 +86,8 @@ def test_is_inert_examples():
     assert is_ramified(3, 3)
     with pytest.raises(DomainError):
         is_inert(6, 3)
+    with pytest.raises(DomainError, match="^4 is not prime$"):
+        is_ramified(4, 3)
 
 
 def test_fermat_criterion():
@@ -240,6 +243,13 @@ def test_is_prime_strong_pseudoprimes_at_base_set_boundaries():
         assert not is_prime(psi)
         for n in range(psi - 300, psi + 300):
             assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_strong_lucas_stops_at_a_factor_of_d():
+    # (5 | 35) = 0 and 5 != 35, so 5 divides 35; at n = 5 itself the
+    # search for D goes on to -7
+    assert not _strong_lucas_probable_prime(35)
+    assert _strong_lucas_probable_prime(5)
 
 
 @ORACLE
