@@ -9,7 +9,9 @@ fraction-free symmetric elimination (Bareiss, Math. Comp. 22, 1968),
 square-and-symmetric check is ``check_symmetric``.  A QuadLattice also
 keeps, each made on first use, the ``smith_normal_form`` of its Gram matrix
 and, when definite, the ``lll_reduction`` of its Gram matrix made positive,
-from which the Fincke-Pohst factors of the enumeration are read.
+from which the Fincke-Pohst factors of the enumeration are read.  That
+reduction starts from the kept elimination, whose minors and stage rows are
+the integral Gram-Schmidt of the basis, so it computes no pairing itself.
 """
 
 
@@ -115,78 +117,62 @@ def symmetric_elimination(g):
     return minors, rows
 
 
-def lll_reduction(g):
+def lll_reduction(rows):
     """Integral LLL reduction (Cohen, Alg. 2.6.7, delta = 3/4) of a positive
-    definite integer Gram matrix g, in integers only (de Weger 1987).
+    definite n x n integer Gram matrix g, in integers only (de Weger 1987),
+    started from the stage rows of its elimination,
+    rows = symmetric_elimination(g)[1].
 
-    Returns (h, minors, rows): h is unimodular, and its rows, the reduced
-    basis in the coordinates of g, have the Gram matrix r = h g h^T.
-    minors = [d_1, ..., d_n] are the leading principal minors of r, and rows
-    are the stage rows of its elimination: rows[j] has zeros before d_(j+1)
-    and lambda_kj = d_(j+1) mu_kj in column k > j.  They equal
-    ``symmetric_elimination(r)``.  Raises ValueError unless g is positive
-    definite.
+    Those rows are the integral Gram-Schmidt of the standard basis:
+    d_(k+1) = rows[k][k], and lambda_kj = d_(j+1) mu_kj is rows[j][k], k > j.
+    Each swap updates every later row.  Returns (h, minors, rows): h is
+    unimodular, and its rows, the reduced basis in the coordinates of g, have
+    the Gram matrix r = h g h^T, whose elimination is (minors, rows).  Raises
+    ValueError unless there are n >= 1 rows of n entries with positive
+    diagonal, that is, unless g is positive definite.
     """
-    n = len(g)
+    n = len(rows)
+    if not rows or any(len(row) != n or row[k] <= 0
+                       for k, row in enumerate(rows)):
+        raise ValueError("matrix is not positive definite")
     h = identity(n)
-    d = [1] + [0] * n  # d[k] = d_k, d_0 = 1
-    lam = [[0] * n for _ in range(n)]  # lam[k][j] = lambda_kj, j < k
+    lam = [list(row) for row in rows]  # lam[j][k] = lambda_kj, j < k
+    d = [1] + [row[k] for k, row in enumerate(lam)]  # d[k] = d_k, d_0 = 1
 
     def red(k, l):
-        # size-reduce row k against row l: 2 |lambda_kl| <= d_(l+1)
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        # size-reduce row k against row l: 2 |lambda_kl| <= d_(l+1), and
+        # lambda_ki -= q lambda_li for i <= l, where lambda_ll = d_(l+1)
+        if 2 * abs(lam[l][k]) > d[l + 1]:
+            q = (2 * lam[l][k] + d[l + 1]) // (2 * d[l + 1])
             h[k] = [x - q * y for x, y in zip(h[k], h[l])]
-            lam[k][l] -= q * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
+            for row in lam[:l + 1]:
+                row[k] -= q * row[l]
 
     def swap(k):
         h[k], h[k - 1] = h[k - 1], h[k]
-        lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
-        lk = lam[k][k - 1]
+        for row in lam[:k - 1]:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        lk = lam[k - 1][k]
         b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
-        for i in range(k + 1, kmax + 1):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
-            lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
-        d[k] = b
+        above, below = lam[k - 1], lam[k]
+        for i in range(k + 1, n):
+            t = below[i]
+            below[i] = (d[k + 1] * above[i] - lk * t) // d[k]
+            above[i] = (b * t + lk * below[i]) // d[k + 1]
+        d[k] = above[k - 1] = b
 
-    def add(k):
-        # Gram-Schmidt in integers for row k, untouched so far (h_k = e_k):
-        # its pairing with the current row j <= k is (h_j g)_k
-        for j in range(k + 1):
-            u = sum(x * row[k] for x, row in zip(h[j], g))
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = u
-        # d_(k+1) is the leading minor of g of size k + 1
-        if u <= 0:
-            raise ValueError("matrix is not positive definite")
-        d[k + 1] = u
-
-    kmax = 0
-    if n:
-        add(0)
     k = 1
     while k < n:
-        if k > kmax:
-            kmax = k
-            add(k)
         red(k, k - 1)
         # Lovasz condition for delta = 3/4
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k - 1][k] ** 2:
             swap(k)
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):
                 red(k, l)
             k += 1
-    minors = d[1:]
-    rows = [[0] * j + [minors[j]] + [lam[i][j] for i in range(j + 1, n)]
-            for j in range(n)]
-    return h, minors, rows
+    return h, d[1:], lam
 
 
 def det(a):

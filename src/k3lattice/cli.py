@@ -92,7 +92,7 @@ def _frac(x):
             _check_digits(x)
             raise
     if isinstance(x, int):
-        return Fraction(x)
+        return Fraction(_int(x))  # _int refuses a boolean
     raise InvalidGramError(f"expected a rational string: {x!r}")
 
 

@@ -18,7 +18,7 @@ from math import gcd, lcm
 from . import _intlinalg as la
 from .errors import DomainError, StructureError, check_limit
 from .lattice_core import QuadLattice, as_vector, is_even, is_isometry
-from .prime_density import is_prime
+from .prime_density import check_prime
 
 # isotropic_subgroups and forms_isomorphic enumerate the group's elements and
 # raise CapacityError above this order.
@@ -137,8 +137,7 @@ def discriminant_group(lat):
 def disc_local_part(form, ell):
     """The ell-primary component, with the restricted quadratic form.
     Raises DomainError unless ell is prime."""
-    if not is_prime(ell):
-        raise DomainError(f"{ell} is not prime")
+    check_prime(ell)
     parts = []
     for i, d in enumerate(form.invariant_factors):
         e = 1

@@ -12,7 +12,7 @@ from operator import mul
 from . import _intlinalg as la
 from .errors import Budget, DomainError
 from .lattice_core import as_vector, signature
-from .prime_density import is_prime
+from .prime_density import check_prime
 
 # vectors_of_norm raises CapacityError once its search would visit more
 # coordinate values than this, summed over the ranges of all levels, and
@@ -167,8 +167,7 @@ def find_vector_norm_prime_to_p(lat, p):
     Gram entry vanishes mod p (p odd), or every diagonal entry is even
     (p = 2), then every norm is divisible by p and None is definitive.
     """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    check_prime(p)
     n = lat.rank
     g = lat.gram
     for i in range(n):

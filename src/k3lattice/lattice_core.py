@@ -33,19 +33,22 @@ class QuadLattice:
     """A nondegenerate integral quadratic lattice."""
 
     gram: tuple
-    # leading principal minors of the Gram matrix, from its elimination
+    # leading principal minors and stage rows of the Gram matrix, from its
+    # elimination
     _minors: list = field(init=False, repr=False, compare=False)
+    _rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = _freeze_gram(self.gram)
         if not g:
             raise InvalidGramError("Gram matrix must be non-empty")
         la.check_symmetric(g, InvalidGramError, "Gram matrix")
-        minors, _ = la.symmetric_elimination(g)
+        minors, rows = la.symmetric_elimination(g)
         if len(minors) < len(g):
             raise DegenerateLatticeError("Gram matrix is degenerate")
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "_minors", minors)
+        object.__setattr__(self, "_rows", rows)
 
     @cached_property
     def _smith(self):
@@ -56,9 +59,12 @@ class QuadLattice:
     def _reduction(self):
         """(h, minors, rows) of the LLL reduction of the Gram matrix of a
         definite lattice, made positive by the sign of its first entry;
-        made on first use."""
+        made on first use from the kept elimination."""
         sign = 1 if self.gram[0][0] > 0 else -1
-        return la.lll_reduction([[sign * x for x in row] for row in self.gram])
+        # negating G multiplies stage row k, whose entries are minors of
+        # size k + 1, by sign^(k + 1)
+        return la.lll_reduction([[sign ** k * x for x in row]
+                                 for k, row in enumerate(self._rows, 1)])
 
     @property
     def rank(self):
@@ -157,7 +163,7 @@ def is_primitive(lat, v):
     v = as_vector(v, lat.rank)
     if all(x == 0 for x in v):
         raise DomainError("zero vector is neither primitive nor imprimitive")
-    return gcd(*v) == 1 if len(v) > 1 else abs(v[0]) == 1
+    return gcd(*v) == 1
 
 
 def orthogonal_complement(lat, v):

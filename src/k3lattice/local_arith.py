@@ -10,22 +10,23 @@ blocks over the p-adic integers:
   diagonalization over the local ring of p-integral rationals, one step per
   1x1 or 2x2 pivot on the trailing block only: every transformation matrix
   has p-unit determinant and p-integral entries, so the witnesses are exact
-  rational vectors.
+  rational vectors.  The split is orthogonal, so each witness Gram is the
+  block diagonal of the blocks it returns.
 """
 
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul
 
-from . import _intlinalg as la
 from .disc_form import disc_local_part, discriminant_group, forms_isomorphic
 from .errors import DomainError, StructureError, UnverifiedHypothesisWarning
 from .lattice_core import (as_vector, inner_product, is_even, is_primitive,
                            orthogonal_complement, signature)
-from .prime_density import factorize, is_prime, kronecker_symbol
+from .prime_density import (check_prime, factorize, is_prime,
+                            kronecker_symbol)
 
 
 def _val(x, p):
@@ -244,8 +245,7 @@ def pointed_equivalent_at_p(lat, v, w, p):
     Under that hypothesis (and evenness when p = 2) the orbit is determined
     by the self-pairing alone, so this reduces to comparing v^2 with w^2.
     """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    check_prime(p)
     v = as_vector(v, lat.rank)
     w = as_vector(w, lat.rank)
     if not is_primitive(lat, v) or not is_primitive(lat, w):
@@ -331,35 +331,35 @@ def artin_invariant(lat, p):
     is half the rank of the scaled part, and sigma = 1 is flagged
     superspecial.
     """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    groups = {0: [], 1: []}  # basis vectors of the p^v-scaled blocks
-    for v, _, basis in _block_split(lat.gram, p):
-        if v not in groups:
-            raise StructureError(
-                f"lattice has a p^{v}-scaled block at p = {p}; the "
-                "discriminant is not elementary p-abelian")
-        groups[v].extend(basis)
-    rank1 = len(groups[1])
-    if rank1 % 2 != 0:
+    check_prime(p)
+    split = _block_split(lat.gram, p)
+    bad = next((v for v, _, _ in split if v not in (0, 1)), None)
+    if bad is not None:
+        raise StructureError(
+            f"lattice has a p^{bad}-scaled block at p = {p}; the "
+            "discriminant is not elementary p-abelian")
+
+    def witness(v):
+        # the split is orthogonal and never touches a recorded basis row
+        # again, so the Gram of the p^v-scaled part's basis is the block
+        # diagonal of its blocks
+        parts = [(block, basis) for scale, block, basis in split
+                 if scale == v]
+        vecs = tuple(x for _, basis in parts for x in basis)
+        gram = []
+        for block, _ in parts:
+            left = [Fraction(0)] * len(gram)
+            right = [Fraction(0)] * (len(vecs) - len(gram) - len(block))
+            gram += [tuple(left + [x / p ** v for x in row] + right)
+                     for row in block]
+        return vecs, tuple(gram)
+
+    t1_basis, t1_gram = witness(0)
+    t0_basis, t0_gram = witness(1)
+    if len(t0_basis) % 2 != 0:
         raise StructureError(
             "p-divisible part of the discriminant has odd rank")
-    sigma = rank1 // 2
-
-    def assemble(vecs, divide):
-        # one congruence on the integer columns D * vecs; the block g / scale
-        # is p-unimodular iff v_p(det g) = rank * v_p(scale)
-        den = lcm(*(x.denominator for vec in vecs for x in vec))
-        cols = la.transpose([[int(x * den) for x in vec] for vec in vecs])
-        scale = den * den * divide
-        g = la.congruence(cols, lat.gram)
-        assert _val(la.det(g), p) == len(vecs) * _val(scale, p), \
-            "witness block is not p-unimodular"
-        return tuple(vecs), tuple(tuple(Fraction(x, scale) for x in row)
-                                  for row in g)
-
-    t1_basis, t1_gram = assemble(groups[0], 1)
-    t0_basis, t0_gram = assemble(groups[1], p)
+    sigma = len(t0_basis) // 2
     return ArtinResult(
         prime=p,
         sigma=sigma,

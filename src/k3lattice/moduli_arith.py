@@ -14,7 +14,7 @@ from .errors import DomainError, InconsistencyError
 from .lattice_core import (QuadLattice, _freeze_gram, as_vector, direct_sum,
                            make_E8, make_U, orthogonal_complement)
 from .local_arith import _val
-from .prime_density import is_prime
+from .prime_density import check_prime
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,7 @@ def mukai_perp_disc_check(v, ns, p):
     lattices.  A mismatch would contradict the underlying theory and raises
     InconsistencyError.
     """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    check_prime(p)
     vsq = mukai_pairing(v, v, ns)
     if vsq % p == 0:
         raise DomainError("the comparison requires p not dividing v^2")
@@ -182,8 +181,7 @@ def newton_polygon(coeffs, p):
     if coeffs[0] == 0:
         raise DomainError("zero constant term: polygon has an infinite "
                           "slope, which is rejected")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    check_prime(p)
     pts = [(i, _val(c, p)) for i, c in enumerate(coeffs) if c != 0]
     hull = _lower_hull(pts)
     # hull slopes strictly increase, so the root valuations (their
@@ -231,8 +229,7 @@ class FrobeniusPairingInstance:
     prime: int
 
     def __post_init__(self):
-        if not is_prime(self.prime):
-            raise DomainError(f"{self.prime} is not prime")
+        check_prime(self.prime)
         f = tuple(as_vector(row) for row in self.frobenius)
         g = _freeze_gram(self.gram)
         if not g:

@@ -112,6 +112,12 @@ def is_prime(n):
             and _strong_lucas_probable_prime(n))
 
 
+def check_prime(p):
+    """Raise DomainError("<p> is not prime") unless p is prime."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+
+
 def _integer_root(n, k):
     """The floor of the k-th root of n >= 1, by Newton's iteration from
     above."""
@@ -263,23 +269,20 @@ def is_inert(p, d):
 
     Ramified primes (p dividing the field discriminant) return False.
     """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    check_prime(p)
     return kronecker_symbol(field_discriminant(d), p) == -1
 
 
 def is_ramified(p, d):
     """True iff p divides the discriminant of Q(sqrt(-d))."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    check_prime(p)
     return kronecker_symbol(field_discriminant(d), p) == 0
 
 
 def fermat_cubic_supersingular(p):
     """Supersingularity of the Fermat cubic fourfold in characteristic p:
     true iff p = 2 mod 3, equivalently iff p is inert in Q(sqrt(-3))."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    check_prime(p)
     if p == 3:
         raise DomainError("p = 3 divides the degree; not covered")
     return p % 3 == 2
@@ -295,8 +298,7 @@ def union_inert_density(primes):
     if len(set(primes)) != len(primes):
         raise DomainError("primes must be distinct")
     for q in primes:
-        if not is_prime(q):
-            raise DomainError(f"{q} is not prime")
+        check_prime(q)
     r = len(primes)
     return Fraction(2 ** r - 1, 2 ** r)
 

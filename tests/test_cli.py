@@ -467,7 +467,12 @@ def test_gram_document_checks_are_exit_2(capsys, monkeypatch, payload,
      "payload needs 'degree', 'q' or 'w_basis_values'"),
     ('{"n": 1, "xi": [1.5], "q": [["1"]]}', "expected a rational string"),
     ({"n": 1, "xi": ["1/x"], "q": [["1"]]}, "Invalid literal for Fraction"),
-], ids=["q-rows", "no-mode", "xi-float", "xi-not-a-fraction"])
+    ('{"n": 1, "xi": [true, "0"], "q": [["2", true], [true, "-4"]]}',
+     "expected an integer, got a boolean"),
+    ('{"n": 1, "xi": ["1"], "xi_norm": true, "w_basis_values": {"0,0": "1"}}',
+     "expected an integer, got a boolean"),
+], ids=["q-rows", "no-mode", "xi-float", "xi-not-a-fraction", "xi-q-boolean",
+        "xi-norm-boolean"])
 def test_bb_recover_input_checks_are_exit_2(capsys, monkeypatch, payload,
                                             message):
     code, out, err = run_cli(capsys, monkeypatch, ["bb-recover"], payload)

@@ -2,9 +2,10 @@
 limit is enforced through the helpers in errors.py, disc_form.py makes a
 Fraction only where a value leaves a form, a Gram matrix is checked and
 eliminated by one helper each, Smith forms are made only in lattice_core,
-only QuadLattice makes an LLL reduction, U + U is decided in one place
-from the Gram matrix alone, and one writer, cli._json, turns every CLI
-result into its JSON text."""
+only QuadLattice makes an LLL reduction, from its kept elimination, the
+Artin witness Grams are read off the block split, U + U is decided in one
+place from the Gram matrix alone, and one writer, cli._json, turns every
+CLI result into its JSON text."""
 
 import ast
 import importlib
@@ -145,6 +146,25 @@ def test_lll_reductions_made_only_by_quad_lattice():
     # vectors_of_norm reads
     assert _holders(_calls("lll_reduction")) == {
         ("lattice_core", "QuadLattice")}
+
+
+def test_eliminations_are_read_not_redone():
+    # lll_reduction starts from the elimination it is given, with no
+    # Gram-Schmidt of its own, and local_arith reads its witness Grams off
+    # the block split, with nothing from _intlinalg
+    tree = ast.parse((SRC / "_intlinalg.py").read_text())
+    lll = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "lll_reduction")
+    nested = {node.name for node in ast.walk(lll)
+              if isinstance(node, ast.FunctionDef)} - {"lll_reduction"}
+    assert "add" not in nested
+    imports = [node for node in ast.walk(
+        ast.parse((SRC / "local_arith.py").read_text()))
+        if isinstance(node, ast.ImportFrom)]
+    assert not any(node.module == "_intlinalg"
+                   or any(alias.name == "_intlinalg" for alias in node.names)
+                   for node in imports)
 
 
 def test_two_planes_decided_in_one_place_without_tags():

@@ -10,8 +10,8 @@ from sympy.matrices.normalforms import smith_normal_form
 
 import k3lattice._intlinalg as la
 from helpers import (definite_grams, random_unimodular, sympy_det,
-                     sympy_inverse)
-from k3lattice import QuadLattice
+                     sympy_inverse, transvected)
+from k3lattice import QuadLattice, make_E8
 
 # property tests stay deterministic so that tier-1 runs are reproducible
 ORACLE = settings(derandomize=True, deadline=None, database=None,
@@ -152,8 +152,79 @@ def test_lll_reduction_of_definite_grams(case):
                                [[1, 2], [2, 1]], [[2, 1], [1, -3]],
                                [[2, 0, 0], [0, 2, 0], [0, 0, 0]]])
 def test_lll_reduction_refuses_matrices_not_positive_definite(g):
+    # the stage rows of the elimination it starts from tell: fewer rows
+    # than columns, or a diagonal minor that is not positive
     with pytest.raises(ValueError, match="not positive definite"):
-        la.lll_reduction(g)
+        la.lll_reduction(la.symmetric_elimination(g)[1])
+
+
+def skewed(g, seed, target):
+    """g under transvections drawn from random.Random(seed).random(), whose
+    sequence Python keeps fixed, until an entry reaches target."""
+    rng = random.Random(seed)
+    n = len(g)
+    while max(abs(x) for row in g for x in row) < target:
+        i, j = (int(rng.random() * n) for _ in range(2))
+        g = transvected(g, [(i, j, (-2, -1, 1, 2)[int(rng.random() * 4)])])
+    return g
+
+
+E8 = [[-x for x in row] for row in make_E8().gram]
+A2_A2_A3 = [[2, -1, 0, 0, 0, 0, 0], [-1, 2, 0, 0, 0, 0, 0],
+            [0, 0, 2, -1, 0, 0, 0], [0, 0, -1, 2, 0, 0, 0],
+            [0, 0, 0, 0, 2, -1, 0], [0, 0, 0, 0, -1, 2, -1],
+            [0, 0, 0, 0, 0, -1, 2]]
+
+# (h, minors, rows) as the incremental integral Gram-Schmidt LLL made them,
+# before the reduction started from the lattice's kept elimination
+REDUCTIONS = [
+    (skewed(E8, 1, 10 ** 3), (
+        [[-2, 0, 1, 1, 0, 0, 0, 0], [-2, 0, 2, 1, 0, 0, 0, 0],
+         [4, 0, -2, 2, 0, 0, 1, -5], [-6, -1, 0, -1, 0, -2, 0, 5],
+         [9, -1, -3, -4, 1, 8, -1, -2], [-6, -1, -2, -1, 0, -6, 0, 6],
+         [-4, 0, 0, 2, 0, -7, 0, 2], [17, 0, 3, 4, 2, 16, -1, -17]],
+        [2, 3, 4, 5, 4, 4, 2, 1],
+        [[2, -1, -1, 1, -1, 1, 1, -1], [0, 3, -1, 1, -1, 1, -1, -1],
+         [0, 0, 4, -1, -2, -1, -2, -2], [0, 0, 0, 5, 2, 1, 2, 2],
+         [0, 0, 0, 0, 4, 2, -1, -1], [0, 0, 0, 0, 0, 4, 2, -2],
+         [0, 0, 0, 0, 0, 0, 2, 0], [0, 0, 0, 0, 0, 0, 0, 1]])),
+    (skewed(E8, 2, 10 ** 12), (
+        [[-651, -270, 685, 656, -1481, 478, -64, -990],
+         [1288, 374, -1165, -1762, 3925, -568, 204, 1992],
+         [51081, 15229, -46470, -68576, 152871, -23394, 7852, 78696],
+         [4683, 1506, -4433, -6000, 13397, -2419, 676, 7231],
+         [121107, 36135, -110181, -162482, 362223, -55520, 18597, 186559],
+         [-164939, -49158, 150043, 221486, -493739, 75503, -25365, -254132],
+         [-415156, -123771, 377653, 557331, -1242424, 190116, -63813,
+          -639593],
+         [848794, 252783, -771749, -1140216, 2541754, -388043, 130586,
+          1307670]],
+        [2, 4, 4, 5, 4, 3, 2, 1],
+        [[2, 0, -1, 0, -1, -1, 1, 1], [0, 4, -2, -2, -2, -2, 2, -2],
+         [0, 0, 4, -2, 0, 0, 0, 0], [0, 0, 0, 5, -2, -2, -2, -2],
+         [0, 0, 0, 0, 4, -1, -1, -1], [0, 0, 0, 0, 0, 3, -1, -1],
+         [0, 0, 0, 0, 0, 0, 2, -1], [0, 0, 0, 0, 0, 0, 0, 1]])),
+    (skewed(A2_A2_A3, 3, 10 ** 3), (
+        [[-2, 0, 1, 0, 0, 0, 0], [2, -2, -1, 0, 1, 0, 0],
+         [0, 0, 0, 7, 0, -3, -6], [1, 0, 0, -7, 0, 3, 6],
+         [-4, 2, 1, 9, -1, -2, -5], [2, -2, -1, -9, 1, 4, 8],
+         [1, -5, -2, 0, 2, 4, 6]],
+        [2, 4, 6, 12, 18, 24, 36],
+        [[2, 0, -1, 0, 0, 0, 0], [0, 4, 0, 0, -2, 2, 0],
+         [0, 0, 6, 0, 0, 0, 0], [0, 0, 0, 12, 0, 0, -6],
+         [0, 0, 0, 0, 18, -6, 0], [0, 0, 0, 0, 0, 24, 0],
+         [0, 0, 0, 0, 0, 0, 36]])),
+]
+# a negative definite lattice keeps the reduction of its negation, read from
+# its own elimination by the sign rule
+REDUCTIONS.append(([[-x for x in row] for row in REDUCTIONS[2][0]],
+                   REDUCTIONS[2][1]))
+
+
+@pytest.mark.parametrize("g, reduction", REDUCTIONS,
+                         ids=["e8-1e3", "e8-1e12", "a2-a2-a3", "negated"])
+def test_lll_reduction_is_pinned(g, reduction):
+    assert QuadLattice(g)._reduction == reduction
 
 
 @pytest.mark.parametrize("a", [[[1, 2]], [[1], [2]], [[0, 1], [2, 0]],

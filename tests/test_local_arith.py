@@ -238,18 +238,33 @@ def test_artin_unimodular_summand_stability():
 
 
 def test_artin_witness_blocks():
-    p = 5
-    t = direct_sum(make_U(), QuadLattice(((0, p), (p, 0))))
-    res = artin_invariant(t, p)
-    # witness bases span blocks whose Gram is (unimodular) and p*(unimodular)
-    for vec in res.unscaled_basis:
-        assert all(Fraction(x).denominator % p != 0 for x in vec)
-    assert len(res.scaled_basis) == 2 * res.sigma
-    for i, x in enumerate(res.scaled_basis):
-        for j, y in enumerate(res.scaled_basis):
-            val = la.vec_mat_vec(x, t.gram, y)
-            assert _val(val, p) >= 1 if val != 0 else True
-            assert res.scaled_gram[i][j] == Fraction(val) / p
+    # witness bases are p-integral, and the congruence of each basis is the
+    # oracle for its witness Gram: (unimodular) and p (unimodular)
+    two = [[[0, 1], [1, 0]], [[2, 1], [1, 2]]]
+    tower = block_diagonal(two + [[[2 * x for x in row] for row in b]
+                                  for b in two])
+    tower = conjugate_gram(tower, random_unimodular(8, random.Random(23)))
+    # at p = 2 every pivot of this tower is an off-diagonal 2x2 block
+    assert [(v, len(b)) for v, b, _ in _block_split(tower, 2)] == \
+        [(0, 2), (0, 2), (1, 2), (1, 2)]
+    for p, t in ((5, direct_sum(make_U(), QuadLattice(((0, 5), (5, 0))))),
+                 (2, QuadLattice(tower))):
+        res = artin_invariant(t, p)
+        assert len(res.scaled_basis) == 2 * res.sigma
+        for v, basis, gram in ((0, res.unscaled_basis, res.unscaled_gram),
+                               (1, res.scaled_basis, res.scaled_gram)):
+            for vec in basis:
+                assert all(Fraction(x).denominator % p != 0 for x in vec)
+            expect = la.congruence(la.transpose(basis), t.gram)
+            # every pairing of the scaled basis lies in p Z_(p), so every
+            # entry of either witness Gram is p-integral
+            assert all(_val(x, p) >= v
+                       for row in expect for x in row if x != 0)
+            assert gram == tuple(tuple(x / p ** v for x in row)
+                                 for row in expect)
+            assert all(isinstance(x, Fraction) for row in gram for x in row)
+            assert all(_val(x, p) >= 0 for row in gram for x in row if x != 0)
+            assert _val(sympy_det(gram), p) == 0
 
 
 def test_block_split_is_congruence():
