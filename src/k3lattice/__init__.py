@@ -13,10 +13,10 @@ from .enumeration import (VectorSet, find_vector_norm_prime_to_p,
 from .errors import (CapacityError, DegenerateLatticeError, DomainError,
                      InconsistencyError, InvalidGramError, LatticeError,
                      StructureError, UnverifiedHypothesisWarning)
-from .lattice_core import (PointedLattice, QuadLattice, as_vector,
-                           direct_sum, inner_product, is_even, is_isometry,
-                           is_primitive, k3n_lattice, make_E8, make_rank1,
-                           make_U, orthogonal_complement, signature)
+from .lattice_core import (QuadLattice, as_vector, direct_sum,
+                           inner_product, is_even, is_isometry, is_primitive,
+                           k3n_lattice, make_E8, make_rank1, make_U,
+                           orthogonal_complement, signature)
 from .local_arith import (ArtinResult, JordanDecomposition,
                           PointedInvariants, artin_invariant,
                           is_selfdual_at_p, jordan_decomposition,

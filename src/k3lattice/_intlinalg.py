@@ -29,7 +29,8 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    """a v for a vector v (zero entries are skipped)."""
+    return [sum(x * y for x, y in zip(row, v) if y) for row in a]
 
 
 def vec_mat_vec(x, a, y):

@@ -99,9 +99,7 @@ class SymmetrizedPowerForm:
             vec = [Fraction(x) for x in key]
             e = lcm(*(x.denominator for x in vec))
             ev = [x.numerator * (e // x.denominator) for x in vec]
-            row = self._rows[key] = (
-                e, ev, [sum(a * b for a, b in zip(g, ev) if b)
-                        for g in self._gram])
+            row = self._rows[key] = (e, ev, la.mat_vec(self._gram, ev))
         return row
 
     def __call__(self, args):

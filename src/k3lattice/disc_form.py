@@ -18,7 +18,7 @@ from math import gcd, lcm
 from . import _intlinalg as la
 from .errors import DomainError, StructureError, check_limit
 from .lattice_core import QuadLattice, as_vector, is_even, is_isometry
-from .prime_density import check_prime
+from .prime_density import _val, check_prime
 
 # isotropic_subgroups and forms_isomorphic enumerate the group's elements and
 # raise CapacityError above this order.
@@ -140,14 +140,11 @@ def disc_local_part(form, ell):
     check_prime(ell)
     parts = []
     for i, d in enumerate(form.invariant_factors):
-        e = 1
-        while d % ell == 0:
-            d //= ell
-            e *= ell
+        e = ell ** _val(d, ell)
         if e > 1:
-            # d is now the prime-to-ell cofactor; d*g generates the
+            # d // e is the prime-to-ell cofactor c, and c*g generates the
             # ell-primary part of this cyclic factor.
-            parts.append((i, e, d))
+            parts.append((i, e, d // e))
     # over the local exponent e / s, vectors and table divide exactly by s
     s = form.exponent // (parts[-1][1] if parts else 1)
     return FiniteQuadraticForm(

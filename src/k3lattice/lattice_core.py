@@ -78,20 +78,6 @@ class QuadLattice:
         return f"QuadLattice(rank={self.rank}, det={self.det})"
 
 
-@dataclass(frozen=True)
-class PointedLattice:
-    """A lattice together with a distinguished nonzero vector."""
-
-    lattice: QuadLattice
-    point: tuple
-
-    def __post_init__(self):
-        v = as_vector(self.point, self.lattice.rank)
-        if all(x == 0 for x in v):
-            raise DomainError("distinguished vector must be nonzero")
-        object.__setattr__(self, "point", v)
-
-
 def as_vector(v, rank=None):
     """Normalize a vector to a tuple of ints, checking that its entries are
     integers and, if given, its length."""
@@ -128,10 +114,21 @@ def make_rank1(m):
     return QuadLattice(((m,),))
 
 
-def direct_sum(l1, l2):
-    """Orthogonal direct sum, as a block-diagonal Gram."""
-    return QuadLattice([row + (0,) * l2.rank for row in l1.gram]
-                       + [(0,) * l1.rank + row for row in l2.gram])
+def block_diagonal(blocks, zero=0):
+    """The block-diagonal matrix of the square blocks, as a tuple of rows,
+    with ``zero`` off the blocks."""
+    n = sum(map(len, blocks))
+    rows = ()
+    for block in blocks:
+        left, right = len(rows), n - len(rows) - len(block)
+        rows += tuple((zero,) * left + tuple(row) + (zero,) * right
+                      for row in block)
+    return rows
+
+
+def direct_sum(*lattices):
+    """Orthogonal direct sum, as one block-diagonal Gram."""
+    return QuadLattice(block_diagonal([lat.gram for lat in lattices]))
 
 
 def k3n_lattice(n):
@@ -140,14 +137,9 @@ def k3n_lattice(n):
     n > 1."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    out = make_U()
-    for _ in range(2):
-        out = direct_sum(out, make_U())
-    for _ in range(2):
-        out = direct_sum(out, make_E8())
-    if n > 1:
-        out = direct_sum(out, make_rank1(2 - 2 * n))
-    return out
+    extra = [make_rank1(2 - 2 * n)] if n > 1 else []
+    return direct_sum(make_U(), make_U(), make_U(), make_E8(), make_E8(),
+                      *extra)
 
 
 def inner_product(lat, x, y):

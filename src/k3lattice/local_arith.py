@@ -11,7 +11,10 @@ blocks over the p-adic integers:
   1x1 or 2x2 pivot on the trailing block only: every transformation matrix
   has p-unit determinant and p-integral entries, so the witnesses are exact
   rational vectors.  The split is orthogonal, so each witness Gram is the
-  block diagonal of the blocks it returns.
+  block diagonal of the blocks it returns, built by
+  ``lattice_core.block_diagonal``.
+
+Valuations are ``prime_density._val``, the library's one p-adic valuation.
 """
 
 import warnings
@@ -23,25 +26,11 @@ from operator import add, mul
 
 from .disc_form import disc_local_part, discriminant_group, forms_isomorphic
 from .errors import DomainError, StructureError, UnverifiedHypothesisWarning
-from .lattice_core import (as_vector, inner_product, is_even, is_primitive,
-                           orthogonal_complement, signature)
-from .prime_density import (check_prime, factorize, is_prime,
+from .lattice_core import (as_vector, block_diagonal, inner_product,
+                           is_even, is_primitive, orthogonal_complement,
+                           signature)
+from .prime_density import (_val, check_prime, factorize, is_prime,
                             kronecker_symbol)
-
-
-def _val(x, p):
-    """p-adic valuation of a nonzero int or Fraction."""
-    if x == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
 
 
 def _block_split(gram, p):
@@ -191,6 +180,7 @@ def jordan_decomposition(lat, p):
 
 def is_selfdual_at_p(lat, p):
     """True iff the lattice is unimodular over the p-adic integers."""
+    check_prime(p)
     return lat.det % p != 0
 
 
@@ -346,13 +336,9 @@ def artin_invariant(lat, p):
         parts = [(block, basis) for scale, block, basis in split
                  if scale == v]
         vecs = tuple(x for _, basis in parts for x in basis)
-        gram = []
-        for block, _ in parts:
-            left = [Fraction(0)] * len(gram)
-            right = [Fraction(0)] * (len(vecs) - len(gram) - len(block))
-            gram += [tuple(left + [x / p ** v for x in row] + right)
-                     for row in block]
-        return vecs, tuple(gram)
+        return vecs, block_diagonal(
+            [[[x / p ** v for x in row] for row in block]
+             for block, _ in parts], Fraction(0))
 
     t1_basis, t1_gram = witness(0)
     t0_basis, t0_gram = witness(1)

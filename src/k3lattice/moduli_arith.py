@@ -13,8 +13,7 @@ from .bb_form import degree_to_bb, perfect_matchings
 from .errors import DomainError, InconsistencyError
 from .lattice_core import (QuadLattice, _freeze_gram, as_vector, direct_sum,
                            make_E8, make_U, orthogonal_complement)
-from .local_arith import _val
-from .prime_density import check_prime
+from .prime_density import _val, check_prime
 
 
 @dataclass(frozen=True)
@@ -117,11 +116,8 @@ def cubic_primitive_lattice():
     in the period-domain sign convention (signature (2, 20)): two
     hyperbolic planes, two copies of the negative definite E8, and the
     negated hexagonal rank-2 form [[-2,-1],[-1,-2]]."""
-    a2 = QuadLattice(((-2, -1), (-1, -2)))
-    out = direct_sum(make_U(), make_U())
-    out = direct_sum(out, make_E8())
-    out = direct_sum(out, make_E8())
-    return direct_sum(out, a2)
+    return direct_sum(make_U(), make_U(), make_E8(), make_E8(),
+                      QuadLattice(((-2, -1), (-1, -2))))
 
 
 def fermat_transcendental_lattice():

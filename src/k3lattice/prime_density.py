@@ -1,5 +1,7 @@
 """Splitting of primes in imaginary quadratic fields and empirical density
-estimates over prime sieves.
+estimates over prime sieves, on top of the library's one primality test
+(``is_prime``, checked by ``check_prime``), one factoring (``factorize``)
+and one p-adic valuation (``_val``), which every other module imports.
 
 Dirichlet densities of the Chebotarev sets handled here coincide with
 natural densities, so the reports estimate them by counting primes up to a
@@ -118,6 +120,21 @@ def check_prime(p):
         raise DomainError(f"{p} is not prime")
 
 
+def _val(x, p):
+    """p-adic valuation of a nonzero int or Fraction."""
+    if x == 0:
+        raise ValueError("valuation of zero")
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
 def _integer_root(n, k):
     """The floor of the k-th root of n >= 1, by Newton's iteration from
     above."""
@@ -193,11 +210,8 @@ def factorize(n):
         if d * d > n:
             break
         if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            exps[d] = e
+            exps[d] = _val(n, d)
+            n //= d ** exps[d]
     meter = Budget("RHO_STEP_BUDGET", RHO_STEP_BUDGET, "factorize needs",
                    f"Pollard-Brent steps on a {n.bit_length()}-bit cofactor")
     stack = [(n, 1)] if n > 1 else []

@@ -38,6 +38,16 @@ def perm_symmetrized_power(gram, n, args):
     return total / (factorial(n) * 2 ** n)
 
 
+def count_eliminations(monkeypatch, build):
+    """build() and the number of symmetric eliminations it ran."""
+    calls = []
+    eliminate = la.symmetric_elimination
+    with monkeypatch.context() as m:
+        m.setattr(la, "symmetric_elimination",
+                  lambda g: calls.append(g) or eliminate(g))
+        return build(), len(calls)
+
+
 def sympy_det(a):
     """Exact determinant of a square integer or rational matrix, by sympy."""
     d = sympy.Matrix(len(a), len(a), [x for row in a for x in row]).det()

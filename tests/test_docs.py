@@ -1,21 +1,33 @@
-"""README's table of size limits agrees with the module constants, every
-limit is enforced through the helpers in errors.py, disc_form.py makes a
-Fraction only where a value leaves a form, a Gram matrix is checked and
-eliminated by one helper each, Smith forms are made only in lattice_core,
-only QuadLattice makes an LLL reduction, from its kept elimination, the
-Artin witness Grams are read off the block split, U + U is decided in one
-place from the Gram matrix alone, and one writer, cli._json, turns every
-CLI result into its JSON text."""
+"""README's table of size limits agrees with the module constants, and
+each example of its CLI section runs; every limit is enforced through the
+helpers in errors.py, disc_form.py makes a Fraction only where a value
+leaves a form, a Gram matrix is checked and eliminated by one helper each,
+Smith forms are made only in lattice_core, only QuadLattice makes an LLL
+reduction, from its kept elimination, the Artin witness Grams are read off
+the block split, U + U is decided in one place from the Gram matrix alone,
+one writer, cli._json, turns every CLI result into its JSON text, one
+function strips prime powers (prime_density._val), one builds
+block-diagonal Grams (lattice_core.block_diagonal), and a pointed lattice
+is a (lattice, vector) pair with no class of its own."""
 
 import ast
 import importlib
+import io
+import json
 import re
 from pathlib import Path
+
+import k3lattice
+from k3lattice import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = README.parent / "src" / "k3lattice"
 ROW = re.compile(r"^\| `(\w+)\.(\w+)` \| ([^|]+) \|", re.M)
 HELPERS = {"Budget", "check_limit"}
+# one example of README's CLI section: the single-quoted stdin of an echo
+# piped into it, if any, and the arguments of k3lattice
+EXAMPLE = re.compile(r"^(?:echo '([^']*)'[\s\\]*\|\s*)?k3lattice (.*)$",
+                     re.M)
 
 
 def _value(text):
@@ -33,6 +45,19 @@ def test_readme_limits_table_matches_constants():
     for module, name, value in rows:
         mod = importlib.import_module(f"k3lattice.{module}")
         assert getattr(mod, name) == _value(value), f"{module}.{name}"
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch):
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = EXAMPLE.findall(block)
+    assert len(examples) == 12
+    for stdin, args in examples:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert cli.main(args.split()) == 0, args
+        out, err = capsys.readouterr()
+        assert isinstance(json.loads(out), dict), args
+        assert err == "", args
 
 
 def _called(node, names):
@@ -193,3 +218,40 @@ def test_one_json_writer():
     assert _holders(_calls("dumps")) == {("cli", "_json")}
     assert _holders(lambda node: isinstance(node, ast.FunctionDef)
                     and node.name == "_s") == set()
+
+
+def test_one_p_adic_valuation():
+    # prime powers are stripped by _val alone; kronecker_symbol strips its
+    # twos on the way to reciprocity
+    def strips(node):
+        test = getattr(node, "test", None)
+        return (isinstance(node, ast.While) and isinstance(test, ast.Compare)
+                and isinstance(test.left, ast.BinOp)
+                and isinstance(test.left.op, ast.Mod)
+                and isinstance(test.ops[0], ast.Eq)
+                and getattr(test.comparators[0], "value", None) == 0)
+
+    assert _holders(strips) == {("prime_density", "_val"),
+                                ("prime_density", "kronecker_symbol")}
+
+
+def test_one_block_diagonal_builder():
+    # direct sums and Artin witnesses build block-diagonal Grams through
+    # one helper, and each fixed sum is one direct_sum call with no loop
+    assert _holders(_calls("block_diagonal")) == {
+        ("lattice_core", "direct_sum"), ("local_arith", "artin_invariant")}
+    loops = (ast.For, ast.While, ast.comprehension)
+    for module, name in (("lattice_core", "k3n_lattice"),
+                         ("moduli_arith", "cubic_primitive_lattice")):
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        top = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == name)
+        assert not any(isinstance(node, loops) for node in ast.walk(top))
+        assert sum(map(_calls("direct_sum"), ast.walk(top))) == 1, name
+
+
+def test_pointed_lattices_are_lattice_vector_pairs():
+    # every pointed-lattice function takes (lattice, vector)
+    assert _holders(lambda node: isinstance(node, ast.ClassDef)
+                    and node.name == "PointedLattice") == set()
+    assert not hasattr(k3lattice, "PointedLattice")

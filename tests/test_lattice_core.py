@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd
 
@@ -9,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import k3lattice._intlinalg as la
-from helpers import (conjugate_gram, random_even_gram, random_unimodular,
-                     sympy_inverse)
+from helpers import (conjugate_gram, count_eliminations, random_even_gram,
+                     random_unimodular, sympy_inverse)
 from k3lattice import (DegenerateLatticeError, DomainError, QuadLattice,
                        as_vector, direct_sum, discriminant_group,
                        inner_product, is_even, is_isometry, is_primitive,
@@ -107,6 +108,34 @@ def test_direct_sum_det_and_signature():
         p1, n1 = signature(l1)
         p2, n2 = signature(l2)
         assert signature(s) == (p1 + p2, n1 + n2)
+
+
+def test_direct_sum_of_any_number_of_lattices(monkeypatch):
+    rng = random.Random(103)
+    for count in (1, 3, 4):
+        parts = [QuadLattice(random_even_gram(rng, rng.randint(1, 3)))
+                 for _ in range(count)]
+        assert direct_sum(*parts).gram == reduce(direct_sum, parts).gram
+    # the Gram is built once and eliminated once, whatever the count
+    parts = [make_U(), make_E8(), make_rank1(-6), make_U()]
+    total, calls = count_eliminations(monkeypatch,
+                                      lambda: direct_sum(*parts))
+    assert calls == 1
+    assert total.det == -6 and signature(total) == (2, 11)
+    with pytest.raises(InvalidGramError,
+                       match="^Gram matrix must be non-empty$"):
+        direct_sum()
+
+
+def test_k3n_lattice_is_one_direct_sum(monkeypatch):
+    for n in range(1, 7):
+        extra = [make_rank1(2 - 2 * n)] if n > 1 else []
+        pairwise = reduce(direct_sum, [make_U(), make_U(), make_U(),
+                                       make_E8(), make_E8(), *extra])
+        lat, calls = count_eliminations(monkeypatch, lambda: k3n_lattice(n))
+        assert lat.gram == pairwise.gram
+        # U three times, E8 twice, <2 - 2n> for n > 1, and the sum
+        assert calls == (7 if n > 1 else 6)
 
 
 def test_k3n_lattice_shape():
@@ -249,16 +278,6 @@ def test_invariants_under_base_change():
         uinv = sympy_inverse(u)
         w = [int(x) for x in la.mat_vec(uinv, v)]
         assert is_primitive(lat, v) == is_primitive(twisted, w)
-
-
-def test_pointed_lattice_validation():
-    from k3lattice import PointedLattice
-    pl = PointedLattice(make_U(), (1, 1))
-    assert pl.point == (1, 1)
-    with pytest.raises(DomainError):
-        PointedLattice(make_U(), (0, 0))
-    with pytest.raises(DomainError):
-        PointedLattice(make_U(), (1, 0, 0))
 
 
 def test_is_isometry():

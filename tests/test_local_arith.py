@@ -2,7 +2,6 @@ import random
 import time
 import warnings
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 import sympy
@@ -18,8 +17,9 @@ from k3lattice import (DomainError, QuadLattice, StructureError,
                        is_selfdual_at_p, jordan_decomposition, k3n_lattice,
                        make_E8, make_rank1, make_U, pointed_equivalent_at_p,
                        pointed_invariants, signature)
-from k3lattice.local_arith import (_block_split, _jordan_mod, _literal_planes,
-                                   _val)
+from k3lattice.lattice_core import block_diagonal
+from k3lattice.local_arith import _block_split, _jordan_mod, _literal_planes
+from k3lattice.prime_density import _val
 
 
 def test_jordan_examples():
@@ -104,6 +104,12 @@ def test_selfdual_examples():
             assert is_selfdual_at_p(lat, p) == ((2 * n - 2) % p != 0)
     assert not is_selfdual_at_p(k3n_lattice(4), 3)
     assert is_selfdual_at_p(make_E8(), 2)
+
+
+def test_selfdual_checks_prime():
+    for p in (4, 1, 0, -5):
+        with pytest.raises(DomainError, match=f"^{p} is not prime$"):
+            is_selfdual_at_p(make_E8(), p)
 
 
 def test_pointed_equivalent_examples():
@@ -329,10 +335,6 @@ def skewed(gram, rng, target):
     while max(abs(x) for row in gram for x in row) < target:
         gram = conjugate_gram(gram, random_unimodular(len(gram), rng))
     return gram
-
-
-def block_diagonal(blocks):
-    return reduce(direct_sum, map(QuadLattice, blocks)).gram
 
 
 @st.composite

@@ -1,19 +1,21 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (brute_newton_slopes, isometry_with_gram_instance,
-                     random_even_gram)
+from helpers import (brute_newton_slopes, count_eliminations,
+                     isometry_with_gram_instance, random_even_gram)
 from k3lattice import (DomainError, FrobeniusPairingInstance, MukaiVector,
                        QuadLattice, abel_jacobi_constants,
                        check_k3_crystal_pairing, cubic_primitive_lattice,
-                       degree_to_bb, discriminant_group,
+                       degree_to_bb, direct_sum, discriminant_group,
                        fermat_transcendental_lattice, forms_isomorphic,
                        inner_product, is_even, is_supersingular_newton,
-                       k3n_lattice, make_rank1, mukai_lattice, mukai_pairing,
+                       k3n_lattice, make_E8, make_rank1, make_U,
+                       mukai_lattice, mukai_pairing,
                        mukai_perp_disc_check, newton_polygon,
                        orthogonal_complement, signature)
 from k3lattice.errors import InvalidGramError
@@ -116,6 +118,16 @@ def test_cubic_primitive_lattice():
     assert signature(c) == (2, 20)
     assert discriminant_group(c).invariant_factors == (3,)
     assert is_even(c)
+
+
+def test_cubic_primitive_lattice_is_one_direct_sum(monkeypatch):
+    a2 = QuadLattice(((-2, -1), (-1, -2)))
+    pairwise = reduce(direct_sum, [make_U(), make_U(), make_E8(), make_E8(),
+                                   a2])
+    lat, calls = count_eliminations(monkeypatch, cubic_primitive_lattice)
+    assert lat.gram == pairwise.gram
+    # U twice, E8 twice, A2(-1), and the sum
+    assert calls == 6
 
 
 def test_fermat_transcendental_lattice():
