@@ -1,7 +1,9 @@
 """Exact integer matrix routines.
 
-The products below take lists/tuples of python ints or Fractions; the
-eliminations work on ints only.  No floating point is used anywhere.
+The products below take lists/tuples of python ints or Fractions and skip
+zero entries; every matrix product is ``mat_mul``, and ``congruence`` is two
+of them.  The eliminations work on ints only.  No floating point is used
+anywhere.
 
 Every determinant and signature in the library comes from one
 fraction-free symmetric elimination (Bareiss, Math. Comp. 22, 1968),
@@ -24,8 +26,19 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """a b, skipping zero entries: for each nonzero b[k][j], column j of the
+    product gains b[k][j] times the nonzero entries of column k of a.  A
+    product entry with no nonzero term is the int 0."""
+    acols = [[(i, y) for i, y in enumerate(col) if y] for col in zip(*a)]
+    cols = []
+    for bcol in zip(*b):
+        col = [0] * len(a)
+        for acol, x in zip(acols, bcol):
+            if x:
+                for i, y in acol:
+                    col[i] += x * y
+        cols.append(col)
+    return [list(row) for row in zip(*cols)] if cols else [[] for _ in a]
 
 
 def mat_vec(a, v):

@@ -7,8 +7,9 @@ reduction, from its kept elimination, the Artin witness Grams are read off
 the block split, U + U is decided in one place from the Gram matrix alone,
 one writer, cli._json, turns every CLI result into its JSON text, one
 function strips prime powers (prime_density._val), one builds
-block-diagonal Grams (lattice_core.block_diagonal), and a pointed lattice
-is a (lattice, vector) pair with no class of its own."""
+block-diagonal Grams (lattice_core.block_diagonal), one multiplies
+matrices (_intlinalg.mat_mul, under every congruence), and a pointed
+lattice is a (lattice, vector) pair with no class of its own."""
 
 import ast
 import importlib
@@ -255,3 +256,20 @@ def test_pointed_lattices_are_lattice_vector_pairs():
     assert _holders(lambda node: isinstance(node, ast.ClassDef)
                     and node.name == "PointedLattice") == set()
     assert not hasattr(k3lattice, "PointedLattice")
+
+
+def test_one_matrix_product():
+    # every matrix product is _intlinalg.mat_mul, over nonzero entries:
+    # congruence (g^T a g) is two of them, and overlattice_basis lifts
+    # subgroup elements with it
+    assert _holders(_calls("mat_mul")) == {
+        ("_intlinalg", "congruence"), ("disc_form", "overlattice_basis")}
+    tree = ast.parse((SRC / "_intlinalg.py").read_text())
+    top = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "congruence")
+    body = [node for node in top.body if not (
+        isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))]
+    assert len(body) == 1 and isinstance(body[0], ast.Return)
+    assert ast.unparse(body[0].value) == (
+        "mat_mul(transpose(g), mat_mul(a, g))")

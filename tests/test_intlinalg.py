@@ -32,6 +32,33 @@ def test_congruence_is_triple_product(n, m, data):
     assert la.congruence(g, a) == expected
 
 
+@ORACLE
+@given(st.integers(0, 5), st.integers(1, 5), st.integers(0, 5),
+       st.sampled_from([st.integers(-20, 20),
+                        st.fractions(-5, 5, max_denominator=6)]), st.data())
+def test_mat_mul_against_triple_sum(n, k, m, values, data):
+    # an n x k times a k x m matrix, both mostly zeros, some rows of the
+    # first and columns of the second all zero; n = 0 is an empty left
+    # operand and m = 0 a right operand with no columns
+    sparse = st.tuples(st.integers(0, 9), values).map(
+        lambda t: t[1] if t[0] >= 7 else 0)
+    a = data.draw(st.lists(st.lists(sparse, min_size=k, max_size=k),
+                           min_size=n, max_size=n))
+    b = data.draw(st.lists(st.lists(sparse, min_size=m, max_size=m),
+                           min_size=k, max_size=k))
+    zero_rows = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    a = [[0] * k if z else row for z, row in zip(zero_rows, a)]
+    zero_cols = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    b = [[0 if z else x for z, x in zip(zero_cols, row)] for row in b]
+    expected = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
+                for i in range(n)]
+    product = la.mat_mul(a, b)
+    assert product == expected
+    assert len(product) == n and all(len(row) == m for row in product)
+    if all(type(x) is int for row in a + b for x in row):
+        assert all(type(x) is int for row in product for x in row)
+
+
 def symmetric(entries, min_size=1):
     """Symmetric square matrices of size min_size..6 from the upper
     triangle."""

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import k3lattice._intlinalg as la
 from helpers import (conjugate_gram, count_eliminations, random_even_gram,
-                     random_unimodular, sympy_inverse)
+                     random_unimodular, sympy_inverse, transvected)
 from k3lattice import (DegenerateLatticeError, DomainError, QuadLattice,
                        as_vector, direct_sum, discriminant_group,
                        inner_product, is_even, is_isometry, is_primitive,
@@ -259,6 +259,64 @@ def test_orthogonal_complement_basis_is_orthogonal_and_saturated(n, data):
     assert gcd(*map(int, minors)) == 1
     assert comp.gram == tuple(tuple(inner_product(lat, x, y) for y in basis)
                               for x in basis)
+
+
+@st.composite
+def sparse_pointed_grams(draw):
+    """(g, v): g is U^a + E8^b + <2 - 2n> as in K3^[n] type, or U + U + an
+    even block, then skewed by up to four transvections; v is primitive and
+    non-isotropic with at most six nonzero entries in -2..2."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        parts = ([make_U()] * draw(st.integers(1, 3))
+                 + [make_E8()] * draw(st.integers(0, 2))
+                 + ([make_rank1(2 - 2 * n)] if n > 1 else []))
+    else:
+        k = draw(st.integers(1, 4))
+        ints = st.integers(-3, 3)
+        upper = draw(st.lists(st.lists(ints, min_size=k, max_size=k),
+                              min_size=k, max_size=k))
+        block = [[upper[min(i, j)][max(i, j)] * (1 + (i == j))
+                  for j in range(k)] for i in range(k)]
+        assume(sympy.Matrix(block).det() != 0)
+        parts = [make_U(), make_U(), QuadLattice(block)]
+    g = direct_sum(*parts).gram
+    index = st.integers(0, len(g) - 1)
+    g = transvected(g, draw(st.lists(
+        st.tuples(index, index, st.integers(-2, 2)), max_size=4)))
+    v = [0] * len(g)
+    for i, x in draw(st.lists(st.tuples(index, st.integers(-2, 2)),
+                              min_size=1, max_size=6)):
+        v[i] = x
+    gm = sympy.Matrix(g)
+    assume(gcd(*v) == 1 and (sympy.Matrix([v]) * gm * sympy.Matrix(v))[0])
+    return g, v
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(sparse_pointed_grams())
+def test_orthogonal_complement_against_sympy(case):
+    # against sympy: the basis B is orthogonal to v, the complement Gram is
+    # B G B^T, the basis is saturated (its maximal minors have gcd 1), and
+    # |det v^perp| = |det G| v^2 / div(v)^2 with div(v) = gcd(G v)
+    g, v = case
+    comp, basis = orthogonal_complement(QuadLattice(g), v)
+    r = len(g)
+    gm, bm, vm = sympy.Matrix(g), sympy.Matrix(basis), sympy.Matrix(v)
+    assert bm.shape == (r - 1, r)
+    assert bm * gm * vm == sympy.zeros(r - 1, 1)
+    assert sympy.Matrix(comp.gram) == bm * gm * bm.T
+    minors_gcd = 0
+    for cols in combinations(range(r), r - 1):
+        minors_gcd = gcd(minors_gcd, int(bm.extract(list(range(r - 1)),
+                                                    list(cols)).det()))
+        if minors_gcd == 1:
+            break
+    assert minors_gcd == 1
+    div = gcd(*map(int, gm * vm))
+    norm = (vm.T * gm * vm)[0]
+    assert abs(sympy.Matrix(comp.gram).det()) * div ** 2 == \
+        abs(gm.det() * norm)
 
 
 def test_invariants_under_base_change():
