@@ -7,12 +7,13 @@ blocks over the p-adic integers:
   elimination over the integers mod p^(v+1), v = v_p(det), that keeps no
   basis; every scale is at most v, so that precision is exact.
 * The Artin invariant's witness bases come from an exact block
-  diagonalization over the local ring of p-integral rationals, one step per
-  1x1 or 2x2 pivot on the trailing block only: every transformation matrix
-  has p-unit determinant and p-integral entries, so the witnesses are exact
-  rational vectors.  The split is orthogonal, so each witness Gram is the
-  block diagonal of the blocks it returns, built by
-  ``lattice_core.block_diagonal``.
+  diagonalization over the local ring of p-integral rationals, one
+  fraction-free step per 1x1 or 2x2 pivot on the trailing integer rows of
+  [G | I], with Fractions made only where a block is recorded: every
+  transformation matrix has p-unit determinant and p-integral entries, so
+  the witnesses are exact rational vectors.  The split is orthogonal, so
+  each witness Gram is the block diagonal of the blocks it returns, built
+  by ``lattice_core.block_diagonal``.
 
 Valuations are ``prime_density._val``, the library's one p-adic valuation.
 """
@@ -20,9 +21,7 @@ Valuations are ``prime_density._val``, the library's one p-adic valuation.
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd
-from operator import add, mul
 
 from .disc_form import disc_local_part, discriminant_group, forms_isomorphic
 from .errors import DomainError, StructureError, UnverifiedHypothesisWarning
@@ -42,44 +41,33 @@ def _block_split(gram, p):
     holds the corresponding p-integral basis vectors (ambient coordinates).
     2x2 blocks occur only for p = 2.
 
-    One step serves both pivot shapes: the pivot block b moves to k.., and
-    each later row t gains -(a_tk, ...) b^-1 times its rows.  Rows and
-    columns before k are never read again, so Gram updates skip them.
+    One fraction-free step (Bareiss) serves both pivot shapes on the integer
+    rows [G | I], each den times its true value, den the leading minor of
+    the blocks split off so far: the pivot block b (size s, d = det b) moves
+    to the front, each later row t becomes (d row_t - (a_tb adj b) rows_b) /
+    den^s, exact by Sylvester's identity, and den becomes d / den^(s-1).
+    Fractions over den are made only where a block is recorded.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for row in a[k:]:
-            row[i], row[j] = row[j], row[i]
-        basis[i], basis[j] = basis[j], basis[i]
-
-    def add_to(i, j, f):
-        # basis vector b_i += f * b_j, with the symmetric Gram update
-        a[i][k:] = [x + f * y for x, y in zip(a[i][k:], a[j][k:])]
-        for row in a[k:]:
-            row[i] += f * row[j]
-        basis[i] = [x + f * y for x, y in zip(basis[i], basis[j])]
-
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(gram)]
+    den = 1
     blocks = []
-    k = 0
-    while k < n:
-        best = None
-        for i in range(k, n):
-            for j in range(i, n):
-                if a[i][j] != 0:
-                    v = _val(a[i][j], p)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        assert best is not None, "nondegenerate lattice ran out of pivots"
-        v, i, j = best
-        diag = next((t for t in range(k, n)
-                     if a[t][t] != 0 and _val(a[t][t], p) == v), None)
+    while rows:
+        m = len(rows)
+        g = gcd(*(x for row in rows for x in row[:m]))
+        assert g, "nondegenerate lattice ran out of pivots"
+        v = _val(g, p)
+        high = p ** (v + 1)
+        # the first entry of least valuation, and the first such diagonal
+        i, j = next((i, j) for i in range(m) for j in range(i, m)
+                    if rows[i][j] % high)
+        diag = next((t for t in range(m) if rows[t][t] % high), None)
         if diag is None and p != 2:
-            # a[i][i] + 2 a[i][j] + a[j][j] has valuation exactly v
-            add_to(i, j, Fraction(1))
+            # b_i += b_j: a_ii + 2 a_ij + a_jj has valuation exactly v
+            rows[i] = [x + y for x, y in zip(rows[i], rows[j])]
+            for row in rows:
+                row[i] += row[j]
             diag = i
         # a diagonal pivot, or the 2x2 block on i < j when p = 2 has its
         # minimal valuation only off the diagonal; ascending swaps leave the
@@ -87,21 +75,31 @@ def _block_split(gram, p):
         piv = (i, j) if diag is None else (diag,)
         s = len(piv)
         for r, t in enumerate(piv):
-            swap(k + r, t)
-        b = [row[k:k + s] for row in a[k:k + s]]
-        # -b^-1 = m / d in closed form; b is symmetric, so m is
+            rows[r], rows[t] = rows[t], rows[r]
+            for row in rows:
+                row[r], row[t] = row[t], row[r]
+        pivots, rows = rows[:s], rows[s:]
+        b = [row[:s] for row in pivots]
+        blocks.append((v - _val(den, p),
+                       [[Fraction(x, den) for x in row] for row in b],
+                       [tuple(Fraction(x, den) for x in row[m:])
+                        for row in pivots]))
+        # d = det b and c = a_tb adj b in closed form; b is symmetric
+        q = den ** s
+        tails = [row[s:] for row in pivots]
         if s == 1:
-            d, m = b[0][0], [[-1]]
+            d = b[0][0]
+            for t, row in enumerate(rows):
+                rows[t] = [(d * x - row[0] * y) // q
+                           for x, y in zip(row[1:], *tails)]
         else:
-            d = b[0][0] * b[1][1] - b[0][1] * b[1][0]
-            m = [[-b[1][1], b[0][1]], [b[1][0], -b[0][0]]]
-        for t in range(k + s, n):
-            fs = [reduce(add, map(mul, a[t][k:k + s], x)) / d for x in m]
-            for r, f in enumerate(fs):
-                if f != 0:
-                    add_to(t, k + r, f)
-        blocks.append((v, b, [tuple(x) for x in basis[k:k + s]]))
-        k += s
+            (e, f), (_, h) = b
+            d = e * h - f * f
+            for t, row in enumerate(rows):
+                c0, c1 = h * row[0] - f * row[1], e * row[1] - f * row[0]
+                rows[t] = [(d * x - c0 * y - c1 * z) // q
+                           for x, y, z in zip(row[2:], *tails)]
+        den = d // den ** (s - 1)
     return blocks
 
 

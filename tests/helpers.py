@@ -3,19 +3,23 @@
 The oracles here are deliberately independent of the package internals:
 the permutation-sum evaluator follows the defining normalized sum over all
 orderings, the box enumerator scans a provably sufficient coordinate box,
-the form-isomorphism search tries every image of the generators, and
+the form-isomorphism search tries every image of the generators,
+``fraction_block_split`` splits a lattice in exact rationals, and
 ``reference_s`` turns a CLI result into the strings json.dumps writes.
 """
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 from math import factorial, gcd, isqrt
+from operator import add, mul
 
 import sympy
 from hypothesis import strategies as st
 
 import k3lattice._intlinalg as la
 from k3lattice.disc_form import FiniteQuadraticForm
+from k3lattice.prime_density import _val
 
 
 def pair_value(gram, x, y):
@@ -432,6 +436,80 @@ def transvected(g, steps):
                 row[i] += c * row[j]
             g[i] = [x + c * y for x, y in zip(g[i], g[j])]
     return g
+
+
+# the rational elimination that local_arith._block_split makes in integers,
+# kept verbatim as its oracle
+def fraction_block_split(gram, p):
+    """Split a lattice over the p-adic integers into p^k-scaled unimodular
+    blocks, exactly; it serves only artin_invariant's witness bases.
+
+    Returns a list of (scale, block, basis) where block is a 1x1 or 2x2
+    Fraction matrix equal to p^scale times a p-unimodular matrix and basis
+    holds the corresponding p-integral basis vectors (ambient coordinates).
+    2x2 blocks occur only for p = 2.
+
+    One step serves both pivot shapes: the pivot block b moves to k.., and
+    each later row t gains -(a_tk, ...) b^-1 times its rows.  Rows and
+    columns before k are never read again, so Gram updates skip them.
+    """
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for row in a[k:]:
+            row[i], row[j] = row[j], row[i]
+        basis[i], basis[j] = basis[j], basis[i]
+
+    def add_to(i, j, f):
+        # basis vector b_i += f * b_j, with the symmetric Gram update
+        a[i][k:] = [x + f * y for x, y in zip(a[i][k:], a[j][k:])]
+        for row in a[k:]:
+            row[i] += f * row[j]
+        basis[i] = [x + f * y for x, y in zip(basis[i], basis[j])]
+
+    blocks = []
+    k = 0
+    while k < n:
+        best = None
+        for i in range(k, n):
+            for j in range(i, n):
+                if a[i][j] != 0:
+                    v = _val(a[i][j], p)
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+        assert best is not None, "nondegenerate lattice ran out of pivots"
+        v, i, j = best
+        diag = next((t for t in range(k, n)
+                     if a[t][t] != 0 and _val(a[t][t], p) == v), None)
+        if diag is None and p != 2:
+            # a[i][i] + 2 a[i][j] + a[j][j] has valuation exactly v
+            add_to(i, j, Fraction(1))
+            diag = i
+        # a diagonal pivot, or the 2x2 block on i < j when p = 2 has its
+        # minimal valuation only off the diagonal; ascending swaps leave the
+        # later targets in place
+        piv = (i, j) if diag is None else (diag,)
+        s = len(piv)
+        for r, t in enumerate(piv):
+            swap(k + r, t)
+        b = [row[k:k + s] for row in a[k:k + s]]
+        # -b^-1 = m / d in closed form; b is symmetric, so m is
+        if s == 1:
+            d, m = b[0][0], [[-1]]
+        else:
+            d = b[0][0] * b[1][1] - b[0][1] * b[1][0]
+            m = [[-b[1][1], b[0][1]], [b[1][0], -b[0][0]]]
+        for t in range(k + s, n):
+            fs = [reduce(add, map(mul, a[t][k:k + s], x)) / d for x in m]
+            for r, f in enumerate(fs):
+                if f != 0:
+                    add_to(t, k + r, f)
+        blocks.append((v, b, [tuple(x) for x in basis[k:k + s]]))
+        k += s
+    return blocks
 
 
 @st.composite

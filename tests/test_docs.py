@@ -1,15 +1,17 @@
 """README's table of size limits agrees with the module constants, and
 each example of its CLI section runs; every limit is enforced through the
 helpers in errors.py, disc_form.py makes a Fraction only where a value
-leaves a form, a Gram matrix is checked and eliminated by one helper each,
-Smith forms are made only in lattice_core, only QuadLattice makes an LLL
-reduction, from its kept elimination, the Artin witness Grams are read off
-the block split, U + U is decided in one place from the Gram matrix alone,
-one writer, cli._json, turns every CLI result into its JSON text, one
-function strips prime powers (prime_density._val), one builds
-block-diagonal Grams (lattice_core.block_diagonal), one multiplies
-matrices (_intlinalg.mat_mul, under every congruence), and a pointed
-lattice is a (lattice, vector) pair with no class of its own."""
+leaves a form, local_arith.py only where the Artin split records a block
+and where artin_invariant builds the witness Grams, a Gram matrix is
+checked and eliminated by one helper each, Smith forms are made only in
+lattice_core, only QuadLattice makes an LLL reduction, from its kept
+elimination, the Artin witness Grams are read off the block split, U + U
+is decided in one place from the Gram matrix alone, one writer, cli._json,
+turns every CLI result into its JSON text, one function strips prime
+powers (prime_density._val), one builds block-diagonal Grams
+(lattice_core.block_diagonal), one multiplies matrices (_intlinalg.mat_mul,
+under every congruence), and a pointed lattice is a (lattice, vector) pair
+with no class of its own."""
 
 import ast
 import importlib
@@ -113,6 +115,30 @@ def test_disc_form_makes_fractions_only_at_its_boundary():
     assert any(_called(node, {"Fraction"}) for node in ast.walk(tree))
     outside = [node.lineno for node in names if id(node) not in allowed]
     assert not outside, f"Fraction used at disc_form.py lines {outside}"
+
+
+def test_local_arith_makes_fractions_only_at_the_witness_boundary():
+    # the Artin split eliminates integer rows over one denominator; a block
+    # and its basis rows become Fractions where blocks.append records them,
+    # and artin_invariant divides the scaled blocks by p
+    tree = ast.parse((SRC / "local_arith.py").read_text())
+    tops = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    split = tops["_block_split"]
+    records = [node for node in ast.walk(split) if _calls("append")(node)
+               and getattr(getattr(node.func, "value", None), "id", None)
+               == "blocks"]
+    assert len(records) == 1
+    allowed = {id(sub) for top in (records[0], tops["artin_invariant"])
+               for sub in ast.walk(top)}
+    names = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "Fraction"]
+    assert any(_called(node, {"Fraction"}) for node in ast.walk(records[0]))
+    outside = [node.lineno for node in names if id(node) not in allowed]
+    assert not outside, f"Fraction used at local_arith.py lines {outside}"
+    # and the split keeps no closures
+    assert not any(isinstance(node, (ast.FunctionDef, ast.Lambda))
+                   for node in ast.walk(split) if node is not split)
 
 
 def _holders(test):

@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import k3lattice._intlinalg as la
-from helpers import (conjugate_gram, pointed_isometry_search,
-                     random_even_gram, random_unimodular, sympy_det)
+from helpers import (conjugate_gram, fraction_block_split,
+                     pointed_isometry_search, random_even_gram,
+                     random_unimodular, sympy_det, transvected)
 from k3lattice import (DomainError, QuadLattice, StructureError,
                        UnverifiedHypothesisWarning, artin_invariant,
                        direct_sum, discriminant_group, is_even,
@@ -358,6 +359,54 @@ def local_grams(draw):
 def test_jordan_mod_matches_block_split(case):
     p, g = case
     assert jordan_mod(g, p) == block_split_jordan_data(g, p)
+
+
+@st.composite
+def skewed_towers(draw):
+    """(p, gram): an orthogonal sum of 1x1, U-type and [[2,1],[1,2]]-type
+    blocks, each times p^0 .. p^2, under up to 12 random transvections."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    shapes = st.sampled_from(([[1]], [[-1]], [[3]], [[0, 1], [1, 0]],
+                              [[2, 1], [1, 2]]))
+    parts = draw(st.lists(st.tuples(shapes, st.integers(0, 2)),
+                          min_size=1, max_size=5))
+    g = block_diagonal([[[x * p ** k for x in row] for row in shape]
+                        for shape, k in parts], 0)
+    index = st.integers(0, len(g) - 1)
+    steps = draw(st.lists(st.tuples(index, index, st.integers(-3, 3)),
+                          max_size=12))
+    return p, transvected(g, steps)
+
+
+def block_split_against_reference(max_examples):
+    """Check the integer split against the Fraction elimination on
+    max_examples skewed towers; return which rare pivots they reached."""
+    seen = set()
+
+    @settings(ORACLE, max_examples=max_examples)
+    @given(skewed_towers())
+    def check(case):
+        p, g = case
+        split = _block_split(g, p)
+        assert split == fraction_block_split(g, p)
+        assert all(isinstance(x, Fraction) for _, block, basis in split
+                   for row in block + basis for x in row)
+        if any(len(block) == 2 for _, block, _ in split):
+            seen.add("2x2 pivot")
+        # the first step finds its least valuation only off the diagonal,
+        # so at odd p it adds b_j to b_i
+        least = min(_val(x, p) for row in g for x in row if x)
+        if p != 2 and all(row[i] == 0 or _val(row[i], p) > least
+                          for i, row in enumerate(g)):
+            seen.add("odd-p b_i += b_j")
+
+    check()
+    return seen
+
+
+def test_block_split_matches_fraction_reference():
+    assert block_split_against_reference(200) == {"2x2 pivot",
+                                                  "odd-p b_i += b_j"}
 
 
 @ORACLE
