@@ -9,9 +9,14 @@ symmetric map is
 which equals the (1/(n! 2^n))-normalized sum over all permutations.  On the
 diagonal, w(a, ..., a) = c_n q(a, a)^n where c_n = (2n)!/(2^n n!) counts the
 matchings.  Conversely q can be recovered from w and one nonzero value
-q(xi, xi): cross terms from w(xi, ..., xi, a) = c_n q(xi, xi)^{n-1} q(xi, a)
-and the xi-orthogonal block from
-w(xi, ..., xi, a, b) = c_{n-1} q(a, b) q(xi, xi)^{n-1}.
+N = q(xi, xi).  Counting the matchings that pair a with xi or with b gives
+
+    w(xi^{2n-1}, a)    = c_n N^{n-1} q(xi, a),
+    w(xi^{2n-2}, a, b) = c_{n-1} N^{n-2} (N q(a, b)
+                                          + (2n-2) q(xi, a) q(xi, b)),
+
+and c_n = (2n-1) c_{n-1}, so q(a, b) is read off w(xi^{2n-1}, a),
+w(xi^{2n-1}, b) and w(xi^{2n-2}, a, b).
 """
 
 from dataclasses import dataclass, field
@@ -141,9 +146,12 @@ def recover_form(w, n, xi, xi_norm):
     """Recover the unique symmetric form q with q(xi, xi) = xi_norm whose
     symmetrized 2n-fold product is ``w``.
 
-    ``w`` is a callback taking a sequence of 2n rational vectors.  The
-    returned Gram matrix is q on the standard basis e_0, ..., e_(r-1) of
-    Q^r, r = len(xi).  InconsistencyError is raised unless
+    ``w`` is a callback taking a sequence of 2n rational vectors, each of
+    them xi or a unit vector e_i of Q^r, r = len(xi), as an int tuple.  At
+    n = 1, q_ij = w(e_i, e_j); at n >= 2, q_ij is solved from
+    w(xi^{2n-1}, e_i), w(xi^{2n-1}, e_j) and w(xi^{2n-2}, e_i, e_j) by the
+    identities of the module docstring.  The returned Gram matrix is q on
+    the standard basis.  InconsistencyError is raised unless
     w(e_i^{2n-1}, e_j) = c_n q_ii^{n-1} q_ji (at n = 1: unless w is
     symmetric), w(xi^{2n}) = c_n q(xi, xi)^n and q(xi, xi) = xi_norm.
     """
@@ -154,26 +162,22 @@ def recover_form(w, n, xi, xi_norm):
         raise InconsistencyError("q(xi, xi) must be nonzero to recover q")
     xi = tuple(Fraction(x) for x in xi)
     r = len(xi)
-    basis = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
+    basis = [tuple(int(i == j) for j in range(r)) for i in range(r)]
     c_n = perfect_matchings(n)
-    c_prev = perfect_matchings(n - 1)
 
     if n == 1:
         q = [[w((basis[i], basis[j])) for j in range(r)] for i in range(r)]
     else:
-        # cross terms q(xi, e_i) from the almost-pure-xi slice
-        head = (xi,) * (2 * n - 1)
-        cross = [w(head + (b,)) / (c_n * xi_norm ** (n - 1)) for b in basis]
-        # xi-orthogonal projections e_i - (q(xi, e_i)/q(xi, xi)) xi
-        proj = [tuple(x - (c / xi_norm) * y for x, y in zip(b, xi))
-                for b, c in zip(basis, cross)]
-        head2 = (xi,) * (2 * n - 2)
+        # c_{n-1} N^{n-1} = den / (2n - 1)
+        den = c_n * xi_norm ** (n - 1)
+        head = (xi,) * (2 * n - 2)
+        cross = [w(head + (xi, b)) / den for b in basis]  # q(xi, e_i)
         q = [[None] * r for _ in range(r)]
         for i in range(r):
             for j in range(i, r):
-                val = w(head2 + (proj[i], proj[j]))
-                qa = val / (c_prev * xi_norm ** (n - 1))
-                q[i][j] = q[j][i] = qa + cross[i] * cross[j] / xi_norm
+                q[i][j] = q[j][i] = (
+                    (2 * n - 1) * w(head + (basis[i], basis[j])) / den
+                    - (2 * n - 2) * cross[i] * cross[j] / xi_norm)
     q = [[Fraction(x) for x in row] for row in q]
 
     xi_q = la.vec_mat_vec(xi, q, xi)

@@ -46,9 +46,9 @@ W_TUPLE_BUDGET = 30_000
 # Vector entries one bb-recover request with q passes to its w, summed over
 # its w calls: a call on 2n vectors of rank r reads 2n * r entries, and a
 # request makes (r + 1)^2 calls (r^2 + 1 + r(r + 1)/2 at n = 1).  The calls'
-# vectors are made from xi and q, and they multiply integers of about the
-# bits of q's common denominator D plus those of the largest entry of q or
-# xi: each entry counts once per 64-bit word of that size.
+# vectors are xi and the unit vectors e_i, and they multiply integers of
+# about the bits of q's common denominator D plus those of the largest entry
+# of q or xi: each entry counts once per 64-bit word of that size.
 W_ENTRY_BUDGET = 1 << 21
 
 
@@ -192,15 +192,14 @@ def _load_w_values(obj, n, r):
 
 
 def cmd_bb_recover(payload):
+    n = _int(payload["n"])
     if "degree" in payload:
-        n = _int(payload["n"])
         res = degree_to_bb(_int(payload["degree"]), n)
         return {
             "root": res.root,
             "is_integral": res.is_integral,
             "interval": res.interval,
         }
-    n = _int(payload["n"])
     xi = _array(payload["xi"], "xi", _frac)
     if "q" in payload:
         q = _array(payload["q"], "q", lambda row: _array(row, "q", _frac))

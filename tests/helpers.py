@@ -2,7 +2,8 @@
 
 The oracles here are deliberately independent of the package internals:
 the permutation-sum evaluator follows the defining normalized sum over all
-orderings, the box enumerator scans a provably sufficient coordinate box,
+orderings, ``projected_recover_form`` recovers q through xi-orthogonal
+projections, the box enumerator scans a provably sufficient coordinate box,
 the form-isomorphism search tries every image of the generators,
 ``fraction_block_split`` splits a lattice in exact rationals, and
 ``reference_s`` turns a CLI result into the strings json.dumps writes.
@@ -18,7 +19,9 @@ import sympy
 from hypothesis import strategies as st
 
 import k3lattice._intlinalg as la
+from k3lattice.bb_form import MAX_POWER_N, _check_n, perfect_matchings
 from k3lattice.disc_form import FiniteQuadraticForm
+from k3lattice.errors import InconsistencyError, check_limit
 from k3lattice.prime_density import _val
 
 
@@ -40,6 +43,63 @@ def perm_symmetrized_power(gram, n, args):
             term *= pair[sigma[2 * i]][sigma[2 * i + 1]]
         total += term
     return total / (factorial(n) * 2 ** n)
+
+
+def projected_recover_form(w, n, xi, xi_norm):
+    """Recover the unique symmetric form q with q(xi, xi) = xi_norm whose
+    symmetrized 2n-fold product is ``w``.
+
+    ``w`` is a callback taking a sequence of 2n rational vectors.  The
+    returned Gram matrix is q on the standard basis e_0, ..., e_(r-1) of
+    Q^r, r = len(xi).  InconsistencyError is raised unless
+    w(e_i^{2n-1}, e_j) = c_n q_ii^{n-1} q_ji (at n = 1: unless w is
+    symmetric), w(xi^{2n}) = c_n q(xi, xi)^n and q(xi, xi) = xi_norm.
+    """
+    _check_n(n)
+    check_limit("MAX_POWER_N", MAX_POWER_N, "n =", n)
+    xi_norm = Fraction(xi_norm)
+    if xi_norm == 0:
+        raise InconsistencyError("q(xi, xi) must be nonzero to recover q")
+    xi = tuple(Fraction(x) for x in xi)
+    r = len(xi)
+    basis = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
+    c_n = perfect_matchings(n)
+    c_prev = perfect_matchings(n - 1)
+
+    if n == 1:
+        q = [[w((basis[i], basis[j])) for j in range(r)] for i in range(r)]
+    else:
+        # cross terms q(xi, e_i) from the almost-pure-xi slice
+        head = (xi,) * (2 * n - 1)
+        cross = [w(head + (b,)) / (c_n * xi_norm ** (n - 1)) for b in basis]
+        # xi-orthogonal projections e_i - (q(xi, e_i)/q(xi, xi)) xi
+        proj = [tuple(x - (c / xi_norm) * y for x, y in zip(b, xi))
+                for b, c in zip(basis, cross)]
+        head2 = (xi,) * (2 * n - 2)
+        q = [[None] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i, r):
+                val = w(head2 + (proj[i], proj[j]))
+                qa = val / (c_prev * xi_norm ** (n - 1))
+                q[i][j] = q[j][i] = qa + cross[i] * cross[j] / xi_norm
+    q = [[Fraction(x) for x in row] for row in q]
+
+    xi_q = la.vec_mat_vec(xi, q, xi)
+    samples = [((xi,) * (2 * n), c_n * xi_q ** n)]
+    # q_ji, not q_ij: at n = 1 this checks that w is symmetric
+    for i in range(r):
+        for j in range(i, r):
+            samples.append(((basis[i],) * (2 * n - 1) + (basis[j],),
+                            c_n * q[i][i] ** (n - 1) * q[j][i]))
+    for ambient, value in samples:
+        if w(ambient) != value:
+            raise InconsistencyError(
+                "samples are not generated by any symmetric form with "
+                "the given q(xi, xi)")
+    if xi_q != xi_norm:
+        raise InconsistencyError("w(xi, xi) contradicts the claimed "
+                                 "q(xi, xi)")
+    return tuple(tuple(row) for row in q)
 
 
 def count_eliminations(monkeypatch, build):

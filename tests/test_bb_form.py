@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import factorial, prod
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (bisection_interval, pair_value,
-                     perm_symmetrized_power)
+                     perm_symmetrized_power, projected_recover_form)
 from k3lattice import (CapacityError, DomainError, InconsistencyError,
                        SymmetrizedPowerForm, degree_to_bb, perfect_matchings,
                        recover_form, symmetrized_power)
@@ -313,6 +315,110 @@ def test_int_and_fraction_spellings_give_one_value(case, data):
     assert SymmetrizedPowerForm(int_gram, n)(ints) == \
         SymmetrizedPowerForm([[Fraction(x) for x in row]
                               for row in int_gram], n)(args)
+
+
+def _basis_values_w(values, n, r):
+    """The multilinear extension of w's values on the standard basis, keyed
+    by sorted index multisets: each argument contracts one index."""
+    def w(args):
+        t = values
+        for k, v in zip(range(2 * n - 1, -1, -1), args):
+            t = {m: sum(x * t[tuple(sorted(m + (i,)))]
+                        for i, x in enumerate(v) if x)
+                 for m in combinations_with_replacement(range(r), k)}
+        return t[()]
+    return w
+
+
+@st.composite
+def recover_documents(draw):
+    """(w, n, xi, xi_norm): w of a random rational q, or the multilinear
+    extension of q's basis values with some of them tampered, sometimes
+    one so that w(xi^{2n}) = 0; xi_norm is q(xi, xi) or perturbed."""
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(1, 4))
+    g = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            g[i][j] = g[j][i] = draw(ENTRIES)
+    xi = [Fraction(draw(st.integers(-2, 2))) for _ in range(r)]
+    form = SymmetrizedPowerForm(g, n)
+    w = form
+    if draw(st.booleans()):
+        units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+        multisets = list(combinations_with_replacement(range(r), 2 * n))
+        values = {m: form([units[i] for i in m]) for m in multisets}
+        for m in draw(st.lists(st.sampled_from(multisets), max_size=2)):
+            values[m] += draw(ENTRIES)
+        support = [i for i, x in enumerate(xi) if x]
+        if support and draw(st.booleans()):
+            top = _basis_values_w(values, n, r)([xi] * (2 * n))
+            m = tuple(sorted(draw(st.lists(st.sampled_from(support),
+                                           min_size=2 * n,
+                                           max_size=2 * n))))
+            # m's coefficient in w(xi^{2n}): its orderings times xi^m
+            orderings = factorial(2 * n) // prod(
+                factorial(m.count(i)) for i in set(m))
+            values[m] -= top / (orderings * prod(xi[i] for i in m))
+        w = _basis_values_w(values, n, r)
+    norm = pair_value(g, xi, xi)
+    if draw(st.booleans()):
+        norm += draw(ENTRIES)
+    return w, n, xi, norm
+
+
+def _recovered(recover, doc):
+    """recover's q for doc, or the message of its InconsistencyError."""
+    try:
+        return recover(*doc)
+    except InconsistencyError as e:
+        return str(e)
+
+
+# w(xi^4) = 0 but w(xi^3, e_0) = -w(xi^3, e_1) = -48: the closed form
+# gives q = [[1, 2], [2, -5]], which passes every basis sample and fails
+# only on q(xi, xi) = 0 != -16, while the projected q fails a basis sample
+# first
+ISOTROPIC_TOP = (_basis_values_w(
+    {(0, 0, 0, 0): 3, (0, 0, 0, 1): 6, (0, 0, 1, 1): -29, (0, 1, 1, 1): 18,
+     (1, 1, 1, 1): 75}, 2, 2), 2, [1, 1], -16)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(recover_documents())
+@example(ISOTROPIC_TOP)
+def test_recover_form_matches_projected_reference(doc):
+    # the closed form and the projected vectors give the same q wherever
+    # w(xi^{2n}) = c_n q(xi, xi)^n, which every accepted w satisfies, so
+    # the same error too; where w(xi^{2n}) = 0 both q have q(xi, xi) = 0
+    # and both raise, but a different check may fail first
+    w, n, xi, _ = doc
+    new = _recovered(recover_form, doc)
+    old = _recovered(projected_recover_form, doc)
+    if w([tuple(xi)] * (2 * n)) == 0:
+        assert isinstance(new, str) and isinstance(old, str)
+    else:
+        assert new == old
+
+
+def test_recover_form_evaluates_w_on_xi_and_unit_vectors():
+    g = [[2, 1, 0], [1, 3, -1], [0, -1, 4]]
+    xi = [1, 2, -1]
+    units = {tuple(int(i == j) for j in range(3)) for i in range(3)}
+    for n in (1, 2, 3):
+        form = SymmetrizedPowerForm(g, n)
+        seen = []
+
+        def w(args):
+            seen.extend(args)
+            return form(args)
+
+        rec = recover_form(w, n, xi, pair_value(g, xi, xi))
+        assert [list(row) for row in rec] == g
+        for v in seen:
+            assert v == tuple(xi) or (
+                v in units and all(type(x) is int for x in v))
+        assert len(set(seen)) == len(xi) + 1
 
 
 def test_form_rejects_vectors_of_the_wrong_length():

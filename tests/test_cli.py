@@ -207,14 +207,24 @@ def test_bb_recover_w_dense_walk_past_budget_exits_3(capsys, monkeypatch):
     assert f"W_TUPLE_BUDGET = {cli.W_TUPLE_BUDGET}" in err
 
 
-@pytest.mark.parametrize("budget, expected", [(11, 0), (10, 3)])
-def test_bb_recover_w_budget_counts_every_walk(capsys, monkeypatch, budget,
-                                               expected):
-    # n = 1 on R^2 with xi = (1, 1): four 1-tuple calls for q, then
-    # w(xi, xi) once (4 tuples), w(e_i, e_i) and w(e_0, e_1), 11 in all
+# q = [[2, 1], [1, 3]] on R^2 with xi = (1, 1).  At n = 1: four 1-tuple
+# calls for q, then w(xi, xi) once (4 tuples), w(e_i, e_i) and w(e_0, e_1),
+# 11 in all.  At n = 2: w(xi^3, e_i) (8 tuples each) and w(xi^2, e_i, e_j)
+# (4 each) for q, then w(xi^4) (16) and the three w(e_i^3, e_j), 47 in all.
+W_N1 = {"n": 1, "xi": ["1", "1"], "xi_norm": "7",
+        "w_basis_values": {"0,0": "2", "0,1": "1", "1,1": "3"}}
+W_N2 = {"n": 2, "xi": ["1", "1"], "xi_norm": "7",
+        "w_basis_values": {"0,0,0,0": "12", "0,0,0,1": "6", "0,0,1,1": "8",
+                           "0,1,1,1": "9", "1,1,1,1": "27"}}
+
+
+@pytest.mark.parametrize(
+    "payload, budget, expected",
+    [(W_N1, 11, 0), (W_N1, 10, 3), (W_N2, 47, 0), (W_N2, 46, 3)],
+    ids=["11-0", "10-3", "47-0", "46-3"])
+def test_bb_recover_w_budget_counts_every_walk(capsys, monkeypatch, payload,
+                                               budget, expected):
     monkeypatch.setattr(cli, "W_TUPLE_BUDGET", budget)
-    payload = {"n": 1, "xi": ["1", "1"], "xi_norm": "7",
-               "w_basis_values": {"0,0": "2", "0,1": "1", "1,1": "3"}}
     code, _, _ = run_cli(capsys, monkeypatch, ["bb-recover"], payload)
     assert code == expected
 
